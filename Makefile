@@ -5,7 +5,7 @@ GO ?= go
 SHORT_SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
 COMMIT_WHEN := $(shell git show -s --format=%cI HEAD 2>/dev/null || echo "")
 
-.PHONY: build test race parallel-race bench bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
+.PHONY: build test race parallel-race bench bench-test bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ parallel-race:
 # suite still regenerates each figure, not a timing run.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The repository benchmark (bench/, run by bench/run.sh) is a Go module of
+# its own, so the root `go test ./...` skips it. Its tests (~3 s) build every
+# workload against this checkout and compare the seed-1 digests pinned in
+# bench/testdata: a change that breaks the benchmark or moves its output
+# fails here instead of at the next benchmark run.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Benchmark timings archived as JSON, one file per commit: every benchmark
 # at one iteration (end-to-end wall times, figure regenerations included)
@@ -138,4 +146,4 @@ lint:
 		exit 1; \
 	fi
 
-ci: lint build race bench smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke
+ci: lint build race bench bench-test smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke

@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
@@ -167,10 +168,12 @@ type Engine struct {
 	// pendRecs/pendCuts buffer each partition's records and cuts during a
 	// window (partition-local appends, no locking); the kernel's round
 	// barrier flushes them — sorted by completion time — into e.records
-	// and the OnCut/OnRecord callbacks.
+	// and the OnCut/OnRecord callbacks. pending is set by every append, so
+	// the many rounds that buffer nothing skip the flush.
 	nparts   int
 	pendRecs [][]ckpt.Record
 	pendCuts [][]Cut
+	pending  atomic.Bool
 }
 
 // Span is a [From, To) interval of virtual time.
@@ -395,7 +398,12 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 			}
 			bm := r.CtrlRecv(p, mem, tag)
 			r.Node.Delay(p, e.cfg.PeerCost) // per-channel quiesce work
-			r.RecvdCounter(mem).AwaitAtLeast(p, bm.Payload.(int64))
+			// Wait only on a channel with bytes still in flight: most
+			// members of a wide group never talk to us, and a drained
+			// channel needs no counter.
+			if target := bm.Payload.(int64); r.RecvdBytes(mem) < target {
+				r.RecvdCounter(mem).AwaitAtLeast(p, target)
+			}
 		}
 	}
 	// 2c. Record RR_Q for out-of-group peers and arm piggybacks
@@ -436,6 +444,7 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 		if e.nparts > 1 {
 			pt := e.part(r.ID)
 			e.pendCuts[pt] = append(e.pendCuts[pt], cut)
+			e.pending.Store(true)
 		} else {
 			e.cfg.OnCut(cut)
 		}
@@ -473,6 +482,7 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 	if e.nparts > 1 {
 		pt := e.part(r.ID)
 		e.pendRecs[pt] = append(e.pendRecs[pt], rec)
+		e.pending.Store(true)
 	} else {
 		e.records = append(e.records, rec)
 		if e.cfg.OnRecord != nil {
@@ -488,6 +498,10 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 // completion time with (epoch, rank) tie-breaks — a total order that
 // depends only on the simulation, never on worker scheduling.
 func (e *Engine) flushPending() {
+	if !e.pending.Load() {
+		return
+	}
+	e.pending.Store(false)
 	var cuts []Cut
 	for pt := range e.pendCuts {
 		cuts = append(cuts, e.pendCuts[pt]...)

@@ -90,6 +90,33 @@ func TestNormCheckpointCompletes(t *testing.T) {
 	}
 }
 
+// TestDrainTouchesOnlyLiveChannels: the bookmark drain waits only on
+// channels with bytes outstanding, so a NORM group far wider than the ring's
+// neighbourhood leaves its silent in-group pairs untouched — the world's
+// flow table lists exactly the pairs that carried application bytes.
+func TestDrainTouchesOnlyLiveChannels(t *testing.T) {
+	const n = 8
+	e, w := runSynthetic(t, 1, n, group.Global(n), sim.Seconds(2))
+	if e.Epochs() != 1 {
+		t.Fatalf("epochs = %d, want 1", e.Epochs())
+	}
+	want := map[[2]int]bool{}
+	for i := 0; i < n; i++ {
+		want[[2]int{i, (i + 1) % n}] = true   // ring
+		want[[2]int{i, (i + n/2) % n}] = true // cross partner
+	}
+	flows := w.PairFlows()
+	for _, f := range flows {
+		if !want[[2]int{f.Src, f.Dst}] || f.Sent == 0 || f.Recvd == 0 || f.Consumed == 0 {
+			t.Errorf("flow %d→%d (sent %d, recvd %d, consumed %d) carried no application traffic",
+				f.Src, f.Dst, f.Sent, f.Recvd, f.Consumed)
+		}
+	}
+	if len(flows) != len(want) {
+		t.Errorf("%d flows, want the %d communicating pairs", len(flows), len(want))
+	}
+}
+
 func TestGP1LogsEverythingAndSkipsCoordination(t *testing.T) {
 	const n = 8
 	e, w := runSynthetic(t, 1, n, group.Singletons(n), sim.Seconds(2))

@@ -127,6 +127,37 @@ func TestMetricsObserverDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestRoundsCounterWorkerIndependent: sim_rounds_total counts the
+// partitioned kernel's lookahead rounds, which depend only on event
+// timestamps — one cell reads the same value, and the same snapshot, at
+// RunWorkers 1 and 4.
+func TestRoundsCounterWorkerIndependent(t *testing.T) {
+	run := func(workers int) *Result {
+		spec := metricsSpec()
+		spec.WL = workload.NewSynthetic(16, 60)
+		spec.Mode = GP4
+		spec.PartitionMinRanks = 2
+		spec.RunWorkers = workers
+		spec.Observers = []Observer{NewMetricsObserver()}
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, four := run(1), run(4)
+	rounds, ok := one.Metrics.Counter("sim_rounds_total")
+	if parts, _ := one.Metrics.Gauge("sim_partitions"); !ok || rounds == 0 || parts < 2 {
+		t.Fatalf("sim_rounds_total = %d (ok=%v) over %v partitions; want a partitioned run with rounds", rounds, ok, parts)
+	}
+	if got, _ := four.Metrics.Counter("sim_rounds_total"); got != rounds {
+		t.Errorf("sim_rounds_total = %d at RunWorkers 4, %d at RunWorkers 1", got, rounds)
+	}
+	if !reflect.DeepEqual(one.Metrics, four.Metrics) {
+		t.Errorf("snapshots differ between RunWorkers 1 and 4:\n%+v\n%+v", one.Metrics, four.Metrics)
+	}
+}
+
 // TestMetricsObserverStacks: metrics + inspect + comm in one run, each
 // publishing its own Result fields.
 func TestMetricsObserverStacks(t *testing.T) {

@@ -25,6 +25,7 @@ package mpi
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -121,8 +122,11 @@ type World struct {
 	// only from partition p; the round barrier folds it into finDone,
 	// giving readers in any partition a stable, deterministic
 	// "all ranks finished as of the last round" view (AllFinishedView).
+	// finNew marks a round in which some rank finished; the fold skips the
+	// rest.
 	finCount []int
 	finDone  int
+	finNew   atomic.Bool
 
 	metrics *Metrics // nil unless observing; see SetMetrics
 }
@@ -193,6 +197,10 @@ func (w *World) SetPartitions(partOf []int, nparts int) {
 	w.shards = make([]shard, nparts)
 	w.finCount = make([]int, nparts)
 	w.K.OnBarrier(func() {
+		if !w.finNew.Load() {
+			return
+		}
+		w.finNew.Store(false)
 		n := 0
 		for _, c := range w.finCount {
 			n += c
@@ -359,6 +367,7 @@ func (w *World) Launch(body func(r *Rank)) {
 			r.Finished = true
 			if w.finCount != nil {
 				w.finCount[part]++
+				w.finNew.Store(true)
 			}
 		})
 	}

@@ -10,8 +10,25 @@ import (
 // 32× the paper's peak scale, the regime the kernel's concrete event heap
 // and lazy per-channel counters were reworked for. Wall time per op is the
 // headline: a cell at this scale completes in seconds, so scenario sweeps
-// to 4096 ranks are routine.
+// to 4096 ranks are routine. The cell runs on the group-partitioned kernel
+// at one worker; the two benchmarks below bracket it.
 func BenchmarkScenario4096(b *testing.B) {
+	benchScenario4096(b, Instrument{})
+}
+
+// BenchmarkScenario4096Unpartitioned is the same cell on the classic serial
+// kernel, never partitioned: the baseline the partitioned kernel at one
+// worker has to match.
+func BenchmarkScenario4096Unpartitioned(b *testing.B) {
+	benchScenario4096(b, Instrument{PartitionMinRanks: -1})
+}
+
+// BenchmarkScenario4096Parallel is the partitioned cell at RunWorkers 2.
+func BenchmarkScenario4096Parallel(b *testing.B) {
+	benchScenario4096(b, Instrument{RunWorkers: 2})
+}
+
+func benchScenario4096(b *testing.B, ins Instrument) {
 	src := `{
 		"name": "scale-4096",
 		"cluster": {"profile": "modern"},
@@ -27,8 +44,9 @@ func BenchmarkScenario4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(context.Background(), 0); err != nil {
+		if _, err := s.RunObserved(context.Background(), 0, ins, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

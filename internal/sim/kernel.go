@@ -111,22 +111,22 @@ const infTime = Time(1<<62 - 1)
 // partition is one sub-kernel: a slice of the simulation (a set of processes
 // and everything they touch exclusively) with its own event heap, clock,
 // sequence counter, random stream, and baton. During a multi-partition
-// round, each runnable partition executes its window on a worker goroutine
-// with no coordination whatsoever — the conservative bounds computed by the
-// coordinator guarantee no event destined to it can materialize inside its
-// window.
+// round, each runnable partition executes its window with no coordination
+// whatsoever — the conservative bounds computed by the coordinator
+// guarantee no event destined to it can materialize inside its window.
 type partition struct {
 	k      *Kernel
 	id     int
 	now    Time
 	eq     eventHeap
 	seq    uint64
-	parked chan struct{} // baton return to the window driver
+	parked chan struct{} // baton return to the pool worker running the window
 	procs  []*Proc
 	live   int // non-daemon processes that have not finished
 	rng    *rand.Rand
 	events uint64
 	bound  Time  // exclusive upper bound of the current window
+	open   bool  // a window is in progress: the only time CrossAt1 may stage
 	outbox []xev // cross-partition events staged this window
 }
 
@@ -137,9 +137,10 @@ type partition struct {
 // event loop (the "baton") lives in exactly one goroutine at a time. When a
 // process blocks, its own goroutine pops the next event and either keeps
 // running (the next event resumes the same process — no channel operation at
-// all) or hands the baton straight to the next process's goroutine. The
-// window driver is just the first baton holder; it gets the baton back only
-// when the partition's window is exhausted.
+// all) or hands the baton straight to the next process's goroutine. Run's
+// goroutine is just the first baton holder; at one worker the baton also
+// carries the coordinator (see dispatch), so Run gets it back only when the
+// run ends.
 //
 // A kernel starts with a single partition, which behaves exactly like the
 // classic serial kernel. SetPartitions splits the simulation into
@@ -170,10 +171,18 @@ type Kernel struct {
 	lookahead Time // minimum cross-partition event delay; > 0 when partitioned
 	workers   int  // max partitions executing concurrently per round
 
+	// Round state, owned by whichever goroutine coordinates: Run's under a
+	// worker pool, the baton holder's on a one-worker kernel.
+	carry    bool          // one worker: the baton carries the coordinator
+	runnable []*partition  // the open round's partitions, in partition order
+	cursor   int           // next runnable partition to step (carried rounds)
+	home     chan struct{} // baton return to Run (and to Shutdown)
+	err      error         // the run's outcome, recorded by whoever ends it
+
 	barriers []func() // flush hooks, run after every round merge
 	stalls   uint64   // lookahead stalls: nonempty partitions held back a round
+	rounds   uint64   // lookahead windows opened
 
-	nprocs  int
 	running bool
 	stopAt  Time     // 0 = no horizon
 	metrics *Metrics // nil unless observing; see SetMetrics
@@ -190,7 +199,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds produce identical simulations.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed)), home: make(chan struct{})}
 	k.parts = []*partition{{k: k, id: 0, parked: make(chan struct{}), rng: k.rng}}
 	return k
 }
@@ -248,11 +257,17 @@ func (k *Kernel) Partitions() int { return len(k.parts) }
 // of the partitioned schedule.
 func (k *Kernel) LookaheadStalls() uint64 { return k.stalls }
 
+// Rounds returns how many lookahead windows the partitioned schedule has
+// opened (0 on a single-partition kernel). LookaheadStalls / Rounds is the
+// mean number of partitions left idle per round.
+func (k *Kernel) Rounds() uint64 { return k.rounds }
+
 // OnBarrier registers fn to run in coordinator context after every round's
 // cross-partition merge (and once more when the run ends). All partitions
 // are quiesced when it runs; engines use it to flush per-partition buffers
 // in a deterministic order. Barrier hooks never fire on a single-partition
-// kernel during the run — only the final flush does.
+// kernel during the run — only the final flush does. They fire after every
+// round, so a hook should return at once when nothing was buffered.
 func (k *Kernel) OnBarrier(fn func()) { k.barriers = append(k.barriers, fn) }
 
 // Now returns the current virtual time: the serial clock on a
@@ -359,13 +374,19 @@ func (k *Kernel) PartAt1(p int, t Time, fn func(any), arg any) {
 // events are staged in src's outbox and merged at the round barrier, which
 // requires t ≥ the staging instant + the kernel's lookahead — the
 // coordinator panics on a violation, because it would mean a partition
-// observed an event the conservative bound said could not exist.
+// observed an event the conservative bound said could not exist. Mid-run,
+// staging is legal only inside src's window: the barrier merges just the
+// outboxes of the partitions that ran. Global events and barrier hooks run
+// with every partition quiesced and use PartAt1 instead.
 func (k *Kernel) CrossAt1(src, dst int, t Time, fn func(any), arg any) {
 	if src == dst || !k.running {
 		k.PartAt1(dst, t, fn, arg)
 		return
 	}
 	sp := k.parts[src]
+	if !sp.open {
+		panic(fmt.Sprintf("sim: cross-partition event %d→%d staged outside partition %d's window", src, dst, src))
+	}
 	if t < sp.now+k.lookahead {
 		panic(fmt.Sprintf("sim: cross-partition event %d→%d at t=%d staged under the lookahead floor (now=%d, lookahead=%d)",
 			src, dst, t, sp.now, k.lookahead))
@@ -456,14 +477,14 @@ func (k *Kernel) spawn(pt *partition, name string, fn func(p *Proc), daemon bool
 		if k.dying {
 			// Resumed by Shutdown (or unwound under it): hand the baton
 			// straight back to the shutting-down goroutine.
-			p.pt.parked <- struct{}{}
+			k.home <- struct{}{}
 			return
 		}
 		// Pass the baton onward: the done flag keeps dispatch from ever
 		// selecting this process again, so dispatch either hands off to
-		// another goroutine or returns the baton to the window driver,
-		// and this goroutine exits.
-		p.pt.dispatch(p)
+		// another goroutine or sends the baton home, and this goroutine
+		// exits.
+		k.dispatch(p.pt, p)
 	}()
 	pt.scheduleWake(pt.now, p)
 	return p
@@ -508,7 +529,7 @@ func (k *Kernel) Shutdown() {
 				continue
 			}
 			p.resume <- struct{}{}
-			<-pt.parked
+			<-k.home
 		}
 	}
 }
@@ -517,9 +538,9 @@ func (k *Kernel) Shutdown() {
 // callbacks run inline; a valid process wakeup is returned as resume (with
 // the wake token already advanced) for the caller to transfer control to.
 // processed is false when nothing remains runnable — the queue drained or
-// the next event lies at or beyond the window bound. Both runWindow and
-// dispatch drive this one loop body, so every event kind is handled
-// identically whichever goroutine holds the baton.
+// the next event lies at or beyond the window bound. dispatch is the one
+// loop around it, so every event kind is handled identically whichever
+// goroutine holds the baton.
 func (pt *partition) step() (resume *Proc, processed bool) {
 	k := pt.k
 	if k.intr.Load() {
@@ -557,45 +578,73 @@ func (pt *partition) step() (resume *Proc, processed bool) {
 	return nil, true
 }
 
-// dispatch runs the partition's event loop on the calling goroutine until
-// control transfers: the first valid process wakeup either returns true (the
-// wakeup is for self — the baton never leaves this goroutine) or hands the
-// baton to that process and returns false. When nothing remains runnable in
-// the window, the baton goes back to the window driver via pt.parked.
-func (pt *partition) dispatch(self *Proc) bool {
+// dispatch runs the event loop on the calling goroutine, starting in
+// partition pt, until control must transfer. The first valid process
+// wakeup either returns true (the wakeup is for self — the baton never
+// leaves this goroutine) or hands the baton to that process and returns
+// false.
+//
+// When pt's window is exhausted, a one-worker kernel carries the
+// coordinator along: the same goroutine steps the round's next runnable
+// partition, or closes the round and opens the next one (nextWindow). The
+// baton goes home only when nothing is left to step — when the run ends
+// (to Run, via k.home) or, under a worker pool, when the window ends (to
+// the pool worker running it, via pt.parked). A home goroutine, calling
+// with self == nil, already holds the baton then: dispatch returns true.
+func (k *Kernel) dispatch(pt *partition, self *Proc) bool {
 	for {
 		p, processed := pt.step()
-		if !processed {
-			pt.parked <- struct{}{}
+		if processed {
+			if p == nil {
+				continue
+			}
+			if p == self {
+				return true
+			}
+			p.resume <- struct{}{}
 			return false
 		}
-		if p == nil {
-			continue
+		home := pt.parked
+		if k.carry {
+			if pt = k.nextWindow(); pt != nil {
+				continue
+			}
+			home = k.home
 		}
-		if p == self {
+		if self == nil {
 			return true
 		}
-		p.resume <- struct{}{}
+		home <- struct{}{}
 		return false
 	}
 }
 
-// runWindow drives the partition until its window [*, bound) is exhausted.
-// The calling goroutine is the window's first baton holder; the baton
-// travels process-to-process and comes back only when nothing remains
-// runnable before the bound.
-func (pt *partition) runWindow() {
-	for {
-		p, processed := pt.step()
-		if !processed {
-			return
+// nextWindow is the one-worker coordinator, run by whichever goroutine
+// exhausts a window. It returns the partition to step next: the open
+// round's next runnable partition or, once the round is done, the first
+// runnable partition of the next one. nil means the run is over, with its
+// outcome in k.err.
+func (k *Kernel) nextWindow() *partition {
+	switch {
+	case k.intr.Load():
+		k.err = ErrCanceled
+		return nil
+	case len(k.parts) == 1:
+		// A serial kernel's only window runs to the horizon.
+		if k.parts[0].eq.Len() == 0 {
+			k.err = k.deadlockCheck()
 		}
-		if p == nil {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-pt.parked
+		return nil
+	case k.cursor < len(k.runnable):
+		k.cursor++
+		return k.runnable[k.cursor-1]
 	}
+	k.closeRound()
+	if !k.openRound() {
+		return nil
+	}
+	k.cursor = 1
+	return k.runnable[0]
 }
 
 // horizonBound converts the horizon into an exclusive window bound.
@@ -609,6 +658,12 @@ func (k *Kernel) horizonBound() Time {
 // Run processes events until the queue drains or the horizon is reached.
 // It returns a *DeadlockError if live processes remain blocked with nothing
 // scheduled, and nil otherwise.
+//
+// A single-partition kernel is the classic serial event loop: one heap, one
+// clock, one window running to the horizon. A partitioned kernel proceeds in
+// lookahead rounds (openRound, the windows, closeRound). At one worker the
+// rounds are driven by the baton itself (dispatch); above that, Run's
+// goroutine coordinates a worker pool through the same two functions.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
@@ -619,47 +674,65 @@ func (k *Kernel) Run() error {
 	if m := k.metrics; m != nil && m.Partitions != nil {
 		m.Partitions.Set(float64(len(k.parts)))
 	}
-	var err error
-	if len(k.parts) == 1 {
-		err = k.runSerial()
+	k.err = nil
+	k.carry = len(k.parts) == 1 || k.workers <= 1
+	if k.carry {
+		k.runCarried()
 	} else {
-		err = k.runPartitioned()
+		k.runPool()
 	}
-	if err == nil {
+	if k.err == nil {
 		// Final flush: barrier hooks see the fully-drained state exactly
 		// once more, whatever path ended the run.
 		for _, fn := range k.barriers {
 			fn()
 		}
 	}
-	return err
+	return k.err
 }
 
-// runSerial is the classic single-partition event loop, byte-identical to
-// the pre-partitioning kernel: one heap, one clock, one baton.
-func (k *Kernel) runSerial() error {
-	pt := k.parts[0]
-	pt.bound = k.horizonBound()
-	pt.runWindow()
-	if k.intr.Load() {
-		return ErrCanceled
+// runCarried opens the first window and makes Run's goroutine its first
+// baton holder. From then on the baton carries the coordinator, and comes
+// back here only when the run is over.
+func (k *Kernel) runCarried() {
+	first := k.parts[0]
+	if len(k.parts) == 1 {
+		first.bound = k.horizonBound()
+	} else {
+		if !k.openRound() {
+			return
+		}
+		k.cursor = 1
+		first = k.runnable[0]
 	}
-	if pt.eq.Len() > 0 {
-		return nil // horizon reached; events remain beyond it
+	if !k.dispatch(first, nil) {
+		<-k.home
 	}
-	return k.deadlockCheck()
 }
 
-// runPartitioned is the coordinator loop: compute conservative bounds, run
-// every runnable partition's window (on up to workers goroutines), merge
-// staged cross-partition events, flush barriers; interleave global events
-// whenever they precede every partition's next event.
-func (k *Kernel) runPartitioned() error {
+// runPool is the multi-worker coordinator loop: Run's goroutine opens each
+// round, runs its windows on the pool, and closes it.
+func (k *Kernel) runPool() {
+	for k.openRound() {
+		k.runRound()
+		if k.intr.Load() {
+			k.err = ErrCanceled
+			return
+		}
+		k.closeRound()
+	}
+}
+
+// openRound opens the next lookahead window. It first runs every global
+// event that precedes all partition heads, then fixes the window bound and
+// selects the partitions whose heads fall inside it. It returns false when
+// the run is over, with the outcome in k.err.
+func (k *Kernel) openRound() bool {
 	hcap := k.horizonBound()
-	runnable := make([]*partition, 0, len(k.parts))
 	for {
 		if k.intr.Load() {
-			return ErrCanceled
+			k.err = ErrCanceled
+			return false
 		}
 		// min1: the smallest partition head — the global simulation front.
 		min1 := infTime
@@ -676,13 +749,15 @@ func (k *Kernel) runPartitioned() error {
 			G = k.gq.peek().at
 		}
 		if min1 == infTime && G == infTime {
-			break // drained
+			k.finishPartitioned(k.deadlockCheck()) // drained
+			return false
 		}
 		if G <= min1 {
 			// Every partition has consumed all events strictly before G:
 			// the global event observes a deterministic quiesced state.
 			if G >= hcap {
-				return k.finishPartitioned(nil) // beyond horizon; events remain
+				k.finishPartitioned(nil) // beyond horizon; events remain
+				return false
 			}
 			ev := k.gq.pop()
 			if ev.at < k.gnow {
@@ -702,7 +777,8 @@ func (k *Kernel) runPartitioned() error {
 			continue
 		}
 		if min1 >= hcap {
-			return k.finishPartitioned(nil) // horizon reached; events remain
+			k.finishPartitioned(nil) // horizon reached; events remain
+			return false
 		}
 		// This round's window is [min1, min1 + lookahead), further capped
 		// by the next global event and the horizon — ONE window shared by
@@ -724,7 +800,7 @@ func (k *Kernel) runPartitioned() error {
 		if hcap < bound {
 			bound = hcap
 		}
-		runnable = runnable[:0]
+		k.runnable = k.runnable[:0]
 		stalled := 0
 		for _, pt := range k.parts {
 			if pt.eq.Len() == 0 {
@@ -732,15 +808,20 @@ func (k *Kernel) runPartitioned() error {
 			}
 			if pt.eq.peek().at < bound {
 				pt.bound = bound
-				runnable = append(runnable, pt)
+				pt.open = true
+				k.runnable = append(k.runnable, pt)
 			} else {
 				stalled++
 			}
 		}
-		if len(runnable) == 0 {
+		if len(k.runnable) == 0 {
 			// Unreachable: the partition holding min1 is always runnable —
 			// lookahead > 0, G > min1, and hcap > min1 all hold here.
 			panic("sim: lookahead deadlock — no runnable partition")
+		}
+		k.rounds++
+		if m := k.metrics; m != nil && m.Rounds != nil {
+			m.Rounds.Inc()
 		}
 		if stalled > 0 {
 			k.stalls += uint64(stalled)
@@ -748,59 +829,60 @@ func (k *Kernel) runPartitioned() error {
 				m.LookaheadStalls.Add(int64(stalled))
 			}
 		}
-		k.runRound(runnable)
-		if k.intr.Load() {
-			return ErrCanceled
-		}
-		// Merge staged cross-partition events, in partition order then
-		// staging order — a worker-count-independent total order. Each
-		// destination assigns its own fresh sequence numbers.
-		for _, pt := range k.parts {
-			for i := range pt.outbox {
-				x := &pt.outbox[i]
-				d := k.parts[x.dst]
-				if x.at < d.now {
-					panic(fmt.Sprintf("sim: lookahead violation — cross-partition event %d→%d at t=%d is in destination's past (now=%d, lookahead=%d)",
-						pt.id, x.dst, x.at, d.now, k.lookahead))
-				}
-				d.seq++
-				d.eq.push(event{at: x.at, seq: d.seq, fn1: x.fn1, arg: x.arg})
-				*x = xev{}
-			}
-			pt.outbox = pt.outbox[:0]
-		}
-		for _, fn := range k.barriers {
-			fn()
-		}
+		return true
 	}
-	return k.finishPartitioned(k.deadlockCheck())
 }
 
-// finishPartitioned advances the global clock to the completion time so
-// post-run Now() reports when the simulation ended.
-func (k *Kernel) finishPartitioned(err error) error {
+// closeRound merges the cross-partition events staged during the round and
+// runs the barrier hooks. Only the partitions that ran can have staged any
+// (CrossAt1 refuses outside a window), so the merge visits just those, in
+// partition order then staging order — a worker-count-independent total
+// order. Each destination assigns its own fresh sequence numbers.
+func (k *Kernel) closeRound() {
+	for _, pt := range k.runnable {
+		pt.open = false
+		for i := range pt.outbox {
+			x := &pt.outbox[i]
+			d := k.parts[x.dst]
+			if x.at < d.now {
+				panic(fmt.Sprintf("sim: lookahead violation — cross-partition event %d→%d at t=%d is in destination's past (now=%d, lookahead=%d)",
+					pt.id, x.dst, x.at, d.now, k.lookahead))
+			}
+			d.seq++
+			d.eq.push(event{at: x.at, seq: d.seq, fn1: x.fn1, arg: x.arg})
+			*x = xev{}
+		}
+		pt.outbox = pt.outbox[:0]
+	}
+	for _, fn := range k.barriers {
+		fn()
+	}
+}
+
+// finishPartitioned records the run's outcome and advances the global clock
+// to the completion time, so post-run Now() reports when the simulation
+// ended.
+func (k *Kernel) finishPartitioned(err error) {
 	for _, pt := range k.parts {
 		if pt.now > k.gnow {
 			k.gnow = pt.now
 		}
 	}
-	return err
+	k.err = err
 }
 
-// runRound executes the runnable partitions' windows, on the calling
-// goroutine when only one worker is configured, else on a small pool
-// claiming partitions from an atomic cursor. Work distribution across
-// goroutines is irrelevant to the result: partitions share nothing within
-// a round.
-func (k *Kernel) runRound(runnable []*partition) {
+// runRound executes the open round's windows on a small pool claiming
+// partitions from an atomic cursor — or on the calling goroutine when only
+// one partition is runnable. Work distribution across goroutines is
+// irrelevant to the result: partitions share nothing within a round.
+func (k *Kernel) runRound() {
+	runnable := k.runnable
 	w := k.workers
 	if w > len(runnable) {
 		w = len(runnable)
 	}
 	if w <= 1 {
-		for _, pt := range runnable {
-			pt.runWindow()
-		}
+		runWindow(runnable[0])
 		return
 	}
 	var next atomic.Int64
@@ -814,11 +896,20 @@ func (k *Kernel) runRound(runnable []*partition) {
 				if j >= int64(len(runnable)) {
 					return
 				}
-				runnable[j].runWindow()
+				runWindow(runnable[j])
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// runWindow runs partition pt's window for a pool worker, the window's
+// first baton holder: the baton travels process-to-process and comes back
+// via pt.parked once nothing remains runnable before the bound.
+func runWindow(pt *partition) {
+	if !pt.k.dispatch(pt, nil) {
+		<-pt.parked
+	}
 }
 
 // deadlockCheck reports blocked live processes after the queues drained.

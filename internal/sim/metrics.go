@@ -20,6 +20,10 @@ type Metrics struct {
 	// the conservative bound held it back (sim_lookahead_stalls_total) —
 	// the coordination cost of the partitioned schedule.
 	LookaheadStalls *metrics.Counter
+	// Rounds counts lookahead windows opened (sim_rounds_total).
+	// LookaheadStalls / Rounds is the mean number of partitions left idle
+	// per round.
+	Rounds *metrics.Counter
 }
 
 // NewMetrics registers the kernel's instruments on c. Names are stable
@@ -31,6 +35,7 @@ func NewMetrics(c *metrics.Collector) *Metrics {
 		QueueDepth:      c.Histogram("sim_queue_depth", "events", "event-queue depth at each step"),
 		Partitions:      c.Gauge("sim_partitions", "partitions", "kernel partitions in the current run"),
 		LookaheadStalls: c.Counter("sim_lookahead_stalls_total", "stalls", "partitions held back a round by the conservative lookahead bound"),
+		Rounds:          c.Counter("sim_rounds_total", "rounds", "lookahead windows opened by the partitioned kernel"),
 	}
 }
 

@@ -58,7 +58,7 @@ func (p *Proc) Done() bool { return p.done }
 func (p *Proc) block(state string) {
 	p.state = state
 	p.blocked = true
-	if !p.pt.dispatch(p) {
+	if !p.pt.k.dispatch(p.pt, p) {
 		<-p.resume
 	}
 	if p.pt.k.dying {

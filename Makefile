@@ -5,7 +5,7 @@ GO ?= go
 SHORT_SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
 COMMIT_WHEN := $(shell git show -s --format=%cI HEAD 2>/dev/null || echo "")
 
-.PHONY: build test race parallel-race bench bench-test bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
+.PHONY: build test race parallel-race bench bench-test bench-digests bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,21 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The repository benchmark (bench/, run by bench/run.sh) is a Go module of
-# its own, so the root `go test ./...` skips it. Its tests (~3 s) build every
-# workload against this checkout and compare the seed-1 digests pinned in
-# bench/testdata: a change that breaks the benchmark or moves its output
-# fails here instead of at the next benchmark run.
+# its own, so the root `go test ./...` skips it. Its tests (~3 s) run every
+# workload in miniature against this checkout and compare each untraced
+# pass's digest with a traced one's: a change that breaks the benchmark or
+# lets tracing perturb a result fails here. They do not check the pinned
+# seed-1 digests; bench-digests does.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# The real workloads at seed 1, one short run each (~30 s once built): the
+# benchmark checks every pass's digest against the one pinned in
+# bench/testdata and exits non-zero on any mismatch, any failed operation or
+# any broken paper ordering. A change that moves a simulated result the
+# benchmark judges by fails here instead of at the next benchmark run.
+bench-digests:
+	bash bench/run.sh --seed 1 --seconds 1 --trace 0
 
 # Benchmark timings archived as JSON, one file per commit: every benchmark
 # at one iteration (end-to-end wall times, figure regenerations included)
@@ -146,4 +155,4 @@ lint:
 		exit 1; \
 	fi
 
-ci: lint build race bench bench-test smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke
+ci: lint build race bench bench-test bench-digests smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke

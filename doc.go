@@ -15,9 +15,10 @@
 // ErrHorizon, ErrCanceled). Every cmd/ binary and example is built on it;
 // the layers below are implementation:
 //
-//	internal/sim       discrete-event kernel (direct-handoff scheduling:
-//	                   the blocking process runs the event loop and hands
-//	                   control straight to the next process's goroutine)
+//	internal/sim       discrete-event kernel (coroutine scheduling: each
+//	                   process is an iter.Pull coroutine; the blocking
+//	                   process runs the event loop and yields the next
+//	                   process to resume to a home loop)
 //	internal/cluster   nodes, NICs, disks, network, checkpoint servers, OS noise
 //	internal/mpi       MPI-like ranks: p2p, collectives, freeze gates, hooks;
 //	                   pooled message envelopes and sparse per-peer channels

@@ -16,12 +16,13 @@
 // MetricsObserver, or on demand by a future scrape endpoint.
 //
 // Determinism: within one simulation run all updates come from the
-// goroutine holding the kernel baton, so counter values, reservoir
-// contents, and therefore snapshots are bit-for-bit reproducible for a
-// given seed (the reservoir's RNG is seeded at construction, never from
-// the clock). The instruments are nevertheless safe for concurrent writers
-// — a future daemon scraping live collectors relies on that — at the cost
-// of losing reservoir determinism only when writers actually race.
+// kernel's event loop, which runs one process at a time, so counter
+// values, reservoir contents, and therefore snapshots are bit-for-bit
+// reproducible for a given seed (the reservoir's RNG is seeded at
+// construction, never from the clock). The instruments are nevertheless
+// safe for concurrent writers — a future daemon scraping live collectors
+// relies on that — at the cost of losing reservoir determinism only when
+// writers actually race.
 package metrics
 
 import (

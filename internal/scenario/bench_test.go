@@ -3,7 +3,10 @@ package scenario
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // BenchmarkScenario4096 runs one 4096-rank cell with stochastic failures —
@@ -45,11 +48,25 @@ func benchScenario4096(b *testing.B, ins Instrument) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	benchSweep(b, s, ins)
+}
+
+// benchSweep runs s's sweep b.N times under ins and reports events/s beside
+// ns/op: kernel events (Result.Events, summed over the cells through the
+// RunObserved observer) per second of benchmark time — the simulation's
+// throughput, comparable across cells of different sizes.
+func benchSweep(b *testing.B, s *Spec, ins Instrument) {
+	var events atomic.Uint64
+	count := func(_ Cell, res *harness.Result) error {
+		events.Add(res.Events)
+		return nil
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := s.RunObserved(context.Background(), 0, ins, nil); err != nil {
+		if _, err := s.RunObserved(context.Background(), 0, ins, count); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(events.Load())/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkScenario16384Parallel is BenchmarkScenario16384 with the cell's
@@ -65,26 +82,18 @@ func BenchmarkScenario16384Parallel(b *testing.B) {
 	if !ok {
 		b.Fatal("scale16k built-in missing")
 	}
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunObserved(context.Background(), 0, Instrument{RunWorkers: 8}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSweep(b, s, Instrument{RunWorkers: 8})
 }
 
 // BenchmarkScenario16384 runs the scale16k built-in profile: one
 // 16384-rank cell with stochastic failures — 128× the paper's peak scale.
-// This is the ceiling the direct-handoff scheduler, the pooled message
-// path, and the sparse per-peer transport state buy: the cell completes in
-// seconds of wall clock with memory bounded by touched channels, not n².
+// This is the ceiling the coroutine scheduler, the pooled message path, and
+// the sparse per-peer transport state buy: the cell completes in seconds of
+// wall clock with memory bounded by touched channels, not n².
 func BenchmarkScenario16384(b *testing.B) {
 	s, ok := BuiltIn("scale16k")
 	if !ok {
 		b.Fatal("scale16k built-in missing")
 	}
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(context.Background(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSweep(b, s, Instrument{})
 }

@@ -25,7 +25,7 @@ func scale16kQuick(t *testing.T) *Spec {
 
 // TestScale16kQuickGolden pins the 16384-rank path's output byte-for-byte,
 // so CI diffs it on every run instead of only benchmarking it: the
-// direct-handoff scheduler, pooled message path, and sparse per-peer state
+// coroutine scheduler, pooled message path, and sparse per-peer state
 // all sit under this cell, and a behavioural regression in any of them
 // moves the table. Regenerate after an intentional change with
 // UPDATE_GOLDEN=1 go test ./internal/scenario -run TestScale16kQuickGolden

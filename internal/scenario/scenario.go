@@ -345,7 +345,7 @@ var builtins = map[string]string{
 		"seed": 7
 	}`,
 	// scale16k: 128× the paper's peak scale on modern hardware — the
-	// regime the direct-handoff scheduler, pooled message path, and sparse
+	// regime the coroutine scheduler, pooled message path, and sparse
 	// per-peer transport state exist for. One cell is a 16384-rank
 	// lifetime with Poisson failures under uncoordinated (GP1)
 	// checkpointing; BenchmarkScenario16384 runs exactly this profile.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestInterruptBeforeRun(t *testing.T) {
 }
 
 // settleGoroutines polls until the goroutine count drops to at most want, or
-// times out. Unwinding goroutines finish asynchronously after Shutdown's
-// final handoff, so one measurement can race their exits.
+// times out. Goroutines a run started beside its processes (an interrupter,
+// a pool worker) exit asynchronously, so one measurement can race them.
 func settleGoroutines(t *testing.T, want int) int {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -107,6 +108,73 @@ func TestShutdownAfterNormalRunReapsDaemons(t *testing.T) {
 	k.Shutdown()
 	if after := settleGoroutines(t, before); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestShutdownReapsUnstartedProcs: processes spawned but never resumed —
+// the run was interrupted before its first event — already own a goroutine,
+// and Shutdown must reap it without ever running their bodies.
+func TestShutdownReapsUnstartedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	ran := 0
+	for i := 0; i < 16; i++ {
+		k.Spawn("p", func(p *Proc) { ran++ })
+	}
+	k.Interrupt()
+	if err := k.Run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run returned %v, want ErrCanceled", err)
+	}
+	k.Shutdown()
+	if ran != 0 {
+		t.Fatalf("%d process bodies ran", ran)
+	}
+	if after := settleGoroutines(t, before); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestProcPanicSurfacesFromRun pins the panic contract on a 4-partition
+// model: a panic in a process body comes out of Run on the caller's
+// goroutine with its original value at every worker count. Partitions 1
+// and 3 panic in the same round, so a worker pool must raise the first in
+// partition order, as the one-worker event loop does by stepping them in
+// that order. Shutdown then reaps every remaining process.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel(1)
+			k.SetPartitions(4, Microsecond)
+			k.SetRunWorkers(workers)
+			var boom [4]error
+			for i := range boom {
+				i := i
+				boom[i] = fmt.Errorf("boom in partition %d", i)
+				mb := NewMailbox(k, "idle")
+				k.SpawnDaemonIn(i, "daemon", func(p *Proc) { mb.Recv(p, nil) })
+				k.SpawnIn(i, "worker", func(p *Proc) {
+					p.Hold(10 * Microsecond) // every partition wakes in one round
+					if i%2 == 1 {
+						panic(boom[i])
+					}
+					p.Hold(Second)
+				})
+			}
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				err := k.Run()
+				t.Errorf("Run returned %v without panicking", err)
+				return nil
+			}()
+			if got != boom[1] {
+				t.Fatalf("recovered %v, want %v", got, boom[1])
+			}
+			k.Shutdown()
+			if after := settleGoroutines(t, before); after > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+			}
+		})
 	}
 }
 

@@ -27,9 +27,10 @@ func TestAt1RunsPreBoundCallback(t *testing.T) {
 	}
 }
 
-// TestSelfWakeupStaysOnGoroutine exercises the direct-handoff fast path: a
-// lone process holding repeatedly is resumed by its own dispatch loop, and
-// events processed must match the schedule exactly.
+// TestSelfWakeupStaysOnGoroutine exercises the self-wake fast path: a lone
+// process holding repeatedly finds its own wakeup next in its dispatch loop
+// and keeps running with no switch, and events processed must match the
+// schedule exactly.
 func TestSelfWakeupStaysOnGoroutine(t *testing.T) {
 	k := NewKernel(1)
 	const holds = 1000
@@ -50,9 +51,9 @@ func TestSelfWakeupStaysOnGoroutine(t *testing.T) {
 	}
 }
 
-// TestBatonChainsThroughFinishingProcs: processes that finish must pass the
-// event loop on to the next runnable process, including across kernel
-// callbacks scheduled between their wakes.
+// TestBatonChainsThroughFinishingProcs: when a process finishes, the home
+// loop must carry the event loop on to the next runnable process, including
+// across kernel callbacks scheduled between their wakes.
 func TestBatonChainsThroughFinishingProcs(t *testing.T) {
 	k := NewKernel(1)
 	const n = 100

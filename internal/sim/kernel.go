@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -110,17 +111,16 @@ const infTime = Time(1<<62 - 1)
 
 // partition is one sub-kernel: a slice of the simulation (a set of processes
 // and everything they touch exclusively) with its own event heap, clock,
-// sequence counter, random stream, and baton. During a multi-partition
-// round, each runnable partition executes its window with no coordination
-// whatsoever — the conservative bounds computed by the coordinator
-// guarantee no event destined to it can materialize inside its window.
+// sequence counter, and random stream. During a multi-partition round, each
+// runnable partition executes its window with no coordination whatsoever —
+// the conservative bounds computed by the coordinator guarantee no event
+// destined to it can materialize inside its window.
 type partition struct {
 	k      *Kernel
 	id     int
 	now    Time
 	eq     eventHeap
 	seq    uint64
-	parked chan struct{} // baton return to the pool worker running the window
 	procs  []*Proc
 	live   int // non-daemon processes that have not finished
 	rng    *rand.Rand
@@ -128,19 +128,21 @@ type partition struct {
 	bound  Time  // exclusive upper bound of the current window
 	open   bool  // a window is in progress: the only time CrossAt1 may stage
 	outbox []xev // cross-partition events staged this window
+	fault  any   // a panic recovered from this partition's window by a pool worker
 }
 
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
 // construct with NewKernel.
 //
-// Scheduling within a partition is by direct handoff: the right to run the
-// event loop (the "baton") lives in exactly one goroutine at a time. When a
-// process blocks, its own goroutine pops the next event and either keeps
-// running (the next event resumes the same process — no channel operation at
-// all) or hands the baton straight to the next process's goroutine. Run's
-// goroutine is just the first baton holder; at one worker the baton also
-// carries the coordinator (see dispatch), so Run gets it back only when the
-// run ends.
+// Simulated processes are coroutines (iter.Pull), each resumed by a home
+// loop (drive): Run's goroutine at one worker, or the pool worker running
+// the window above that. A blocking process runs its partition's event loop
+// itself (dispatch): callbacks run inline, and when the next wakeup is its
+// own it keeps running with no switch at all. Otherwise it yields the
+// process to resume next to the home loop, which resumes it — two coroutine
+// switches, with no run queue, thread wakeup or channel in between. At one
+// worker the event loop also carries the coordinator (see dispatch), so the
+// home loop ends only when the run does.
 //
 // A kernel starts with a single partition, which behaves exactly like the
 // classic serial kernel. SetPartitions splits the simulation into
@@ -171,13 +173,12 @@ type Kernel struct {
 	lookahead Time // minimum cross-partition event delay; > 0 when partitioned
 	workers   int  // max partitions executing concurrently per round
 
-	// Round state, owned by whichever goroutine coordinates: Run's under a
-	// worker pool, the baton holder's on a one-worker kernel.
-	carry    bool          // one worker: the baton carries the coordinator
-	runnable []*partition  // the open round's partitions, in partition order
-	cursor   int           // next runnable partition to step (carried rounds)
-	home     chan struct{} // baton return to Run (and to Shutdown)
-	err      error         // the run's outcome, recorded by whoever ends it
+	// Round state, owned by whoever coordinates: Run's goroutine under a
+	// worker pool, the event loop itself on a one-worker kernel.
+	carry    bool         // one worker: the event loop carries the coordinator
+	runnable []*partition // the open round's partitions, in partition order
+	cursor   int          // next runnable partition to step (carried rounds)
+	err      error        // the run's outcome, recorded by whoever ends it
 
 	barriers []func() // flush hooks, run after every round merge
 	stalls   uint64   // lookahead stalls: nonempty partitions held back a round
@@ -188,19 +189,16 @@ type Kernel struct {
 	metrics *Metrics // nil unless observing; see SetMetrics
 
 	// intr is set by Interrupt (any goroutine); step checks it between
-	// events, so whichever goroutine holds a baton parks promptly and
-	// Run returns ErrCanceled.
+	// events, so every running event loop stops promptly and Run returns
+	// ErrCanceled.
 	intr atomic.Bool
-	// dying is set by Shutdown; a resumed process observing it unwinds
-	// its goroutine instead of continuing the simulation.
-	dying bool
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds produce identical simulations.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed)), home: make(chan struct{})}
-	k.parts = []*partition{{k: k, id: 0, parked: make(chan struct{}), rng: k.rng}}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k.parts = []*partition{{k: k, id: 0, rng: k.rng}}
 	return k
 }
 
@@ -232,8 +230,7 @@ func (k *Kernel) SetPartitions(n int, lookahead Time) {
 	k.lookahead = lookahead
 	for i := 1; i < n; i++ {
 		k.parts = append(k.parts, &partition{
-			k: k, id: i, parked: make(chan struct{}),
-			rng: rand.New(rand.NewSource(k.rng.Int63())),
+			k: k, id: i, rng: rand.New(rand.NewSource(k.rng.Int63())),
 		})
 	}
 }
@@ -325,7 +322,7 @@ func (k *Kernel) SetHorizon(t Time) { k.stopAt = t }
 // Interrupt requests that Run stop between events and return ErrCanceled.
 // It is the only Kernel method safe to call from outside the simulation —
 // context plumbing hangs a context.AfterFunc on it. Interrupting does not
-// unwind process goroutines; call Shutdown (after Run returns) for that.
+// unwind suspended processes; call Shutdown (after Run returns) for that.
 func (k *Kernel) Interrupt() { k.intr.Store(true) }
 
 // Interrupted reports whether Interrupt has been called.
@@ -334,9 +331,9 @@ func (k *Kernel) Interrupted() bool { return k.intr.Load() }
 // At schedules fn to run in kernel context at virtual time t (or now, if t is
 // in the past). fn must not block: it may schedule events, put messages into
 // mailboxes, and spawn processes, but must not call Hold, Recv, or any other
-// blocking primitive. "Kernel context" is whichever goroutine holds the
-// baton when the event fires. On a partitioned kernel, At targets
-// partition 0; use PartAt from any other partition's context.
+// blocking primitive. "Kernel context" is whichever process or home loop
+// is running the event loop when the event fires. On a partitioned kernel,
+// At targets partition 0; use PartAt from any other partition's context.
 func (k *Kernel) At(t Time, fn func()) { k.PartAt(0, t, fn) }
 
 // PartAt is At targeting partition p. It may be called before Run, from
@@ -456,46 +453,35 @@ func (k *Kernel) spawn(pt *partition, name string, fn func(p *Proc), daemon bool
 		pt:      pt,
 		id:      len(pt.procs),
 		name:    name,
-		resume:  make(chan struct{}),
 		blocked: true,
 		state:   "start",
 		daemon:  daemon,
 	}
-	pt.procs = append(pt.procs, p)
-	if !daemon {
-		pt.live++
-	}
-	go func() {
-		<-p.resume
-		if !k.dying {
-			runProcBody(p, fn)
-		}
+	// The coroutine starts at the process's first resume, so a process
+	// that is never resumed never runs its body.
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
+		runProcBody(p, fn)
 		p.done = true
 		if !p.daemon {
 			p.pt.live--
 		}
-		if k.dying {
-			// Resumed by Shutdown (or unwound under it): hand the baton
-			// straight back to the shutting-down goroutine.
-			k.home <- struct{}{}
-			return
-		}
-		// Pass the baton onward: the done flag keeps dispatch from ever
-		// selecting this process again, so dispatch either hands off to
-		// another goroutine or sends the baton home, and this goroutine
-		// exits.
-		k.dispatch(p.pt, p)
-	}()
+	})
+	pt.procs = append(pt.procs, p)
+	if !daemon {
+		pt.live++
+	}
 	pt.scheduleWake(pt.now, p)
 	return p
 }
 
-// killed is the panic payload Shutdown uses to unwind a parked process
-// goroutine from inside its blocking primitive.
+// killed is the panic payload that unwinds a suspended process from inside
+// its blocking primitive once Shutdown stops its coroutine.
 type killed struct{}
 
 // runProcBody executes the process function, converting a Shutdown-induced
-// unwind into a normal return. Any other panic propagates.
+// unwind into a normal return. Any other panic propagates: out of the
+// coroutine to the home loop that resumed it, and from there out of Run.
 func runProcBody(p *Proc, fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -509,27 +495,24 @@ func runProcBody(p *Proc, fn func(*Proc)) {
 	fn(p)
 }
 
-// Shutdown unwinds every unfinished process goroutine. A simulation that
-// ends with blocked processes — daemons after a normal run, application
-// ranks after an interrupt, horizon, or deadlock — leaves their goroutines
-// parked forever otherwise, and a long-lived caller running many
-// simulations would accumulate them without bound. Each parked process is
-// resumed once with the dying flag set; it panics out of its blocking
-// primitive, the spawn wrapper recovers, and the goroutine exits. Shutdown
-// is idempotent, must not be called while Run is in flight, and leaves the
-// kernel unusable for further Runs.
+// Shutdown unwinds every unfinished process. A simulation that ends with
+// blocked processes — daemons after a normal run, application ranks after an
+// interrupt, horizon, deadlock or panic — leaves their coroutines suspended
+// forever otherwise, and a long-lived caller running many simulations would
+// accumulate their goroutines without bound. Shutdown stops each one: a
+// process suspended in a blocking primitive panics out of it with killed{},
+// which the spawn wrapper recovers, and a process never resumed never runs
+// its body. Shutdown is idempotent, must not be called while Run is in
+// flight, and leaves the kernel unusable for further Runs.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")
 	}
-	k.dying = true
 	for _, pt := range k.parts {
 		for _, p := range pt.procs {
-			if p.done {
-				continue
+			if !p.done {
+				p.stop()
 			}
-			p.resume <- struct{}{}
-			<-k.home
 		}
 	}
 }
@@ -539,8 +522,8 @@ func (k *Kernel) Shutdown() {
 // the wake token already advanced) for the caller to transfer control to.
 // processed is false when nothing remains runnable — the queue drained or
 // the next event lies at or beyond the window bound. dispatch is the one
-// loop around it, so every event kind is handled identically whichever
-// goroutine holds the baton.
+// loop around it, so every event kind is handled identically whoever runs
+// the event loop.
 func (pt *partition) step() (resume *Proc, processed bool) {
 	k := pt.k
 	if k.intr.Load() {
@@ -578,48 +561,53 @@ func (pt *partition) step() (resume *Proc, processed bool) {
 	return nil, true
 }
 
-// dispatch runs the event loop on the calling goroutine, starting in
-// partition pt, until control must transfer. The first valid process
-// wakeup either returns true (the wakeup is for self — the baton never
-// leaves this goroutine) or hands the baton to that process and returns
-// false.
+// dispatch runs the event loop, starting in partition pt, up to the next
+// valid process wakeup and returns that process. A blocking process calling
+// it may get itself back (its own wakeup was next: it keeps running, no
+// switch at all); any other process is for the home loop to resume. nil
+// means nothing is left to step.
 //
 // When pt's window is exhausted, a one-worker kernel carries the
-// coordinator along: the same goroutine steps the round's next runnable
-// partition, or closes the round and opens the next one (nextWindow). The
-// baton goes home only when nothing is left to step — when the run ends
-// (to Run, via k.home) or, under a worker pool, when the window ends (to
-// the pool worker running it, via pt.parked). A home goroutine, calling
-// with self == nil, already holds the baton then: dispatch returns true.
-func (k *Kernel) dispatch(pt *partition, self *Proc) bool {
+// coordinator along: the same event loop steps the round's next runnable
+// partition, or closes the round and opens the next one (nextWindow), so
+// nil comes back only when the run ends. Under a worker pool, nil ends the
+// window.
+func (k *Kernel) dispatch(pt *partition) *Proc {
 	for {
 		p, processed := pt.step()
 		if processed {
-			if p == nil {
-				continue
+			if p != nil {
+				return p
 			}
-			if p == self {
-				return true
-			}
-			p.resume <- struct{}{}
-			return false
+			continue
 		}
-		home := pt.parked
-		if k.carry {
-			if pt = k.nextWindow(); pt != nil {
-				continue
-			}
-			home = k.home
+		if !k.carry {
+			return nil
 		}
-		if self == nil {
-			return true
+		if pt = k.nextWindow(); pt == nil {
+			return nil
 		}
-		home <- struct{}{}
-		return false
 	}
 }
 
-// nextWindow is the one-worker coordinator, run by whichever goroutine
+// drive is the home loop: it steps partition pt and resumes each process
+// dispatch names, until dispatch names none. A resumed process runs until it
+// blocks and yields back the process its own dispatch named, or until it
+// finishes; then the event loop continues from its partition, the one it was
+// stepped from. A panic in a process body propagates out of next, and so out
+// of drive.
+func (k *Kernel) drive(pt *partition) {
+	p := k.dispatch(pt)
+	for p != nil {
+		q, ok := p.next()
+		if !ok {
+			q = k.dispatch(p.pt)
+		}
+		p = q
+	}
+}
+
+// nextWindow is the one-worker coordinator, run by whichever event loop
 // exhausts a window. It returns the partition to step next: the open
 // round's next runnable partition or, once the round is done, the first
 // runnable partition of the next one. nil means the run is over, with its
@@ -662,8 +650,13 @@ func (k *Kernel) horizonBound() Time {
 // A single-partition kernel is the classic serial event loop: one heap, one
 // clock, one window running to the horizon. A partitioned kernel proceeds in
 // lookahead rounds (openRound, the windows, closeRound). At one worker the
-// rounds are driven by the baton itself (dispatch); above that, Run's
+// rounds are driven by the event loop itself (dispatch); above that, Run's
 // goroutine coordinates a worker pool through the same two functions.
+//
+// A panic in a process body or an event callback surfaces from Run on the
+// caller's goroutine, at every worker count: under a worker pool the first
+// panic of a round in partition order, once the round's other windows are
+// done. Shutdown still reaps the remaining processes afterwards.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
@@ -691,9 +684,9 @@ func (k *Kernel) Run() error {
 	return k.err
 }
 
-// runCarried opens the first window and makes Run's goroutine its first
-// baton holder. From then on the baton carries the coordinator, and comes
-// back here only when the run is over.
+// runCarried opens the first window and makes Run's goroutine the home
+// loop for the whole run: the event loop carries the coordinator from
+// window to window, so drive returns only when the run is over.
 func (k *Kernel) runCarried() {
 	first := k.parts[0]
 	if len(k.parts) == 1 {
@@ -705,9 +698,7 @@ func (k *Kernel) runCarried() {
 		k.cursor = 1
 		first = k.runnable[0]
 	}
-	if !k.dispatch(first, nil) {
-		<-k.home
-	}
+	k.drive(first)
 }
 
 // runPool is the multi-worker coordinator loop: Run's goroutine opens each
@@ -874,7 +865,10 @@ func (k *Kernel) finishPartitioned(err error) {
 // runRound executes the open round's windows on a small pool claiming
 // partitions from an atomic cursor — or on the calling goroutine when only
 // one partition is runnable. Work distribution across goroutines is
-// irrelevant to the result: partitions share nothing within a round.
+// irrelevant to the result: partitions share nothing within a round. Pool
+// workers recover a window's panic and keep claiming; once the round is
+// done, the first panic in partition order is raised again here, on Run's
+// goroutine.
 func (k *Kernel) runRound() {
 	runnable := k.runnable
 	w := k.workers
@@ -882,7 +876,7 @@ func (k *Kernel) runRound() {
 		w = len(runnable)
 	}
 	if w <= 1 {
-		runWindow(runnable[0])
+		k.drive(runnable[0])
 		return
 	}
 	var next atomic.Int64
@@ -901,15 +895,18 @@ func (k *Kernel) runRound() {
 		}()
 	}
 	wg.Wait()
+	for _, pt := range runnable {
+		if pt.fault != nil {
+			panic(pt.fault)
+		}
+	}
 }
 
-// runWindow runs partition pt's window for a pool worker, the window's
-// first baton holder: the baton travels process-to-process and comes back
-// via pt.parked once nothing remains runnable before the bound.
+// runWindow runs partition pt's window as a pool worker's home loop,
+// recording a panic in pt.fault instead of letting it kill the process.
 func runWindow(pt *partition) {
-	if !pt.k.dispatch(pt, nil) {
-		<-pt.parked
-	}
+	defer func() { pt.fault = recover() }()
+	pt.k.drive(pt)
 }
 
 // deadlockCheck reports blocked live processes after the queues drained.

@@ -4,7 +4,7 @@ package sim
 // operation — Hold, message delivery, resource grants — funnels through
 // push/pop on the event heap, so scenario sweeps at thousands of ranks are
 // bounded by this path. BenchmarkKernelEventChurn measures the heap alone
-// (kernel-context callbacks, no goroutine handoffs); the other benchmarks
+// (kernel-context callbacks, no process switches); the other benchmarks
 // add process wakeups and mailbox traffic in the mix real workloads produce.
 
 import (

@@ -11,8 +11,8 @@ import (
 
 // The partitioned kernel's contract, tested directly on small models: the
 // worker count changes nothing observable. Each model runs at RunWorkers 1
-// (the baton-carried coordinator) and 2 and 4 (the worker pool), and every
-// log line, event count, stall count and round count must agree.
+// (the event loop carries the coordinator) and 2 and 4 (the worker pool),
+// and every log line, event count, stall count and round count must agree.
 
 const (
 	ringParts     = 4

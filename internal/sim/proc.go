@@ -1,16 +1,19 @@
 package sim
 
-// Proc is a simulated process. Within a partition, exactly one Proc executes
-// at any instant; a Proc runs until it calls a blocking primitive (Hold,
+// Proc is a simulated process: a coroutine (iter.Pull) resumed by its
+// partition's home loop. Within a partition, exactly one Proc executes at any
+// instant; a Proc runs until it calls a blocking primitive (Hold,
 // Mailbox.Recv, Resource.Use, Gate.Pass, Counter.AwaitAtLeast), at which
-// point it runs its partition's event loop itself and hands control directly
-// to the next runnable process (see Kernel).
+// point it runs its partition's event loop itself and either keeps running
+// or yields the next runnable process to the home loop (see Kernel).
 type Proc struct {
 	pt      *partition
 	id      int // index within the partition, spawn order
 	name    string
-	resume  chan struct{}
-	token   uint64 // wake token; advanced on every resume
+	next    func() (*Proc, bool) // resume the coroutine until it yields or ends
+	stop    func()               // unwind the suspended coroutine (Shutdown)
+	yield   func(*Proc) bool     // suspend, naming the process to resume next
+	token   uint64               // wake token; advanced on every resume
 	blocked bool
 	done    bool
 	daemon  bool   // daemons do not count toward deadlock detection
@@ -47,22 +50,19 @@ func (p *Proc) State() string { return p.state }
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.done }
 
-// block parks the process with the given state description until the kernel
-// resumes it. Callers must have arranged a wakeup (a scheduled event or
-// registration with a mailbox/gate/counter) before calling block.
+// block suspends the process with the given state description until the
+// kernel resumes it. Callers must have arranged a wakeup (a scheduled event
+// or registration with a mailbox/gate/counter) before calling block.
 //
-// The blocking process drives the event loop itself (direct handoff): if the
-// next runnable event is this process's own wakeup, block returns without a
-// single channel operation; otherwise the baton goes straight to the next
-// process and this goroutine parks until some future baton holder resumes it.
+// The blocking process drives the event loop itself: if the next runnable
+// event is this process's own wakeup, block returns without a switch;
+// otherwise the process yields the one dispatch named (nil: none) to the
+// home loop and stays suspended until the home loop resumes it.
 func (p *Proc) block(state string) {
 	p.state = state
 	p.blocked = true
-	if !p.pt.k.dispatch(p.pt, p) {
-		<-p.resume
-	}
-	if p.pt.k.dying {
-		// Resumed by Kernel.Shutdown: unwind this goroutine instead of
+	if q := p.pt.k.dispatch(p.pt); q != p && !p.yield(q) {
+		// Stopped by Kernel.Shutdown: unwind this coroutine instead of
 		// continuing the (finished) simulation. Recovered in the spawn
 		// wrapper.
 		panic(killed{})

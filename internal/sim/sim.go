@@ -1,11 +1,11 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines, but exactly one of them executes at a
-// time: the kernel hands control to the process whose wakeup event is next in
-// virtual time and waits for it to block again. Event ordering is by
-// (time, sequence-number), so runs with the same seed are bit-for-bit
-// reproducible regardless of the host scheduler.
+// Simulated processes are coroutines (iter.Pull), and within a partition
+// exactly one of them executes at a time: the kernel resumes the process
+// whose wakeup event is next in virtual time, which runs until it blocks
+// again. Event ordering is by (time, sequence-number), so runs with the
+// same seed are bit-for-bit reproducible regardless of the host scheduler.
 //
 // The kernel offers the primitives a message-passing simulation needs:
 //

@@ -5,7 +5,13 @@
 // baseline and flags wall-clock regressions on the benchmarks that guard
 // the simulator's hot paths — the scenario-scale and sim-kernel
 // benchmarks. It prints one line per compared benchmark and exits non-zero
-// if any regression exceeds the threshold (`make bench-diff`).
+// if any regression exceeds the threshold (`make bench-diff`). Benchmarks
+// match on their bare names: the -P GOMAXPROCS suffix go test appends is
+// stripped from reports written before cmd/benchjson split it off. When
+// both reports carry hardware stamps (CPU model and core count) and the
+// stamps differ, the rows are tagged xhw and benchdiff exits 2 with no
+// verdict: timings from different machines are not drift. A report with
+// no stamp is compared as before, with a one-line note.
 //
 // Trajectory mode (-trend) ingests a whole directory of BENCH_*.json
 // artifacts — one per push, downloaded from CI — orders them by recorded
@@ -32,12 +38,15 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"strconv"
+	"strings"
 )
 
 // Benchmark mirrors cmd/benchjson's per-benchmark record.
 type Benchmark struct {
 	Pkg     string             `json:"pkg,omitempty"`
 	Name    string             `json:"name"`
+	Procs   int                `json:"procs"` // 0 in reports older than the field
 	Runs    int64              `json:"runs"`
 	NsPerOp float64            `json:"nsPerOp,omitempty"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -47,7 +56,17 @@ type Benchmark struct {
 type Report struct {
 	Commit     string      `json:"commit,omitempty"`
 	When       string      `json:"when,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// stamp describes the hardware r was measured on; "" if r carries no stamp.
+func (r *Report) stamp() string {
+	if r.CPU == "" && r.NProc == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%q with %d CPUs", r.CPU, r.NProc)
 }
 
 // defaultMatch selects the benchmarks whose wall clock the refactors of the
@@ -85,6 +104,14 @@ func main() {
 		fatal(err)
 	}
 
+	baseStamp, curStamp := base.stamp(), cur.stamp()
+	crossHW := baseStamp != "" && curStamp != "" && baseStamp != curStamp
+	for _, r := range []struct{ path, stamp string }{{*baseline, baseStamp}, {*current, curStamp}} {
+		if r.stamp == "" {
+			fmt.Printf("note: %s carries no hardware stamp; compared as if measured on the same machine\n", r.path)
+		}
+	}
+
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		baseBy[b.Pkg+"/"+b.Name] = b
@@ -118,7 +145,9 @@ func main() {
 		compared++
 		delta := b.NsPerOp/old.NsPerOp - 1
 		tag := "ok   "
-		if delta > *threshold {
+		if crossHW {
+			tag = "xhw  "
+		} else if delta > *threshold {
 			tag = "SLOW "
 			regressions++
 		} else if delta < -*threshold {
@@ -129,6 +158,11 @@ func main() {
 	}
 	if compared == 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: no benchmarks matched %q in both reports\n", *match)
+		os.Exit(2)
+	}
+	if crossHW {
+		fmt.Fprintf(os.Stderr, "benchdiff: baseline measured on %s, current on %s: %d benchmark(s) tagged xhw, no verdict across hardware\n",
+			baseStamp, curStamp, compared)
 		os.Exit(2)
 	}
 	if regressions > 0 {
@@ -149,7 +183,23 @@ func load(path string) (*Report, error) {
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, fmt.Errorf("benchdiff: %s: %w", path, err)
 	}
+	for i := range r.Benchmarks {
+		if b := &r.Benchmarks[i]; b.Procs == 0 {
+			b.Name, b.Procs = splitProcs(b.Name)
+		}
+	}
 	return r, nil
+}
+
+// splitProcs splits go test's -P GOMAXPROCS suffix off a benchmark name, as
+// cmd/benchjson does. go test omits it when P is 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil && p > 1 {
+			return name[:i], p
+		}
+	}
+	return name, 1
 }
 
 func fatal(err error) {

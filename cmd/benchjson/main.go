@@ -9,7 +9,10 @@
 //	BenchmarkEventHeap/concrete-8   9023472   147.1 ns/op   0 B/op   0 allocs/op
 //
 // Every `unit: value` pair after the iteration count is kept, so custom
-// metrics (events/op, exec_s, ...) survive into the JSON.
+// metrics (events/op, exec_s, ...) survive into the JSON. The `-P` suffix
+// go test appends to a name when GOMAXPROCS is P > 1 moves into the
+// benchmark's procs field, so names match across hosts; the report is
+// stamped with the `cpu:` header line and the host's core count.
 package main
 
 import (
@@ -28,7 +31,8 @@ import (
 // Benchmark is one benchmark result line.
 type Benchmark struct {
 	Pkg     string             `json:"pkg,omitempty"`
-	Name    string             `json:"name"`
+	Name    string             `json:"name"`  // without the -P suffix
+	Procs   int                `json:"procs"` // GOMAXPROCS the benchmark ran at
 	Runs    int64              `json:"runs"`
 	NsPerOp float64            `json:"nsPerOp,omitempty"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -41,6 +45,8 @@ type Report struct {
 	GoVersion  string      `json:"goVersion"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
+	CPU        string      `json:"cpu,omitempty"` // go test's cpu: line
+	NProc      int         `json:"nproc"`         // logical CPUs of the host
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -72,6 +78,7 @@ func parse(r io.Reader, commit string) (*Report, error) {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
 		Benchmarks: []Benchmark{},
 	}
 	sc := bufio.NewScanner(r)
@@ -81,6 +88,10 @@ func parse(r io.Reader, commit string) (*Report, error) {
 		line := sc.Text()
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = strings.TrimSpace(rest)
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			report.CPU = strings.TrimSpace(rest)
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -110,7 +121,8 @@ func parseLine(line string) (Benchmark, error) {
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("iteration count: %w", err)
 	}
-	b := Benchmark{Name: f[0], Runs: runs}
+	name, procs := splitProcs(f[0])
+	b := Benchmark{Name: name, Procs: procs, Runs: runs}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -127,4 +139,15 @@ func parseLine(line string) (Benchmark, error) {
 		b.Metrics[unit] = v
 	}
 	return b, nil
+}
+
+// splitProcs splits go test's `-P` GOMAXPROCS suffix off a benchmark name.
+// go test omits it when P is 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil && p > 1 {
+			return name[:i], p
+		}
+	}
+	return name, 1
 }

@@ -11,6 +11,7 @@ pkg: repro/internal/sim
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkKernelEventChurn 	 7461938	       163.0 ns/op	         1.000 events/op
 BenchmarkEventHeap/concrete-8         	 9023472	       147.1 ns/op	       0 B/op	       0 allocs/op
+BenchmarkKernelHold-2   	 3122704	       383.9 ns/op
 PASS
 ok  	repro/internal/sim	1.389s
 pkg: repro
@@ -26,20 +27,29 @@ func TestParse(t *testing.T) {
 	if r.Commit != "abc123" || r.GoVersion == "" {
 		t.Errorf("metadata missing: %+v", r)
 	}
-	if len(r.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(r.Benchmarks), r.Benchmarks)
+	if r.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || r.NProc < 1 {
+		t.Errorf("hardware stamp missing: cpu %q, nproc %d", r.CPU, r.NProc)
+	}
+	if len(r.Benchmarks) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %+v", len(r.Benchmarks), r.Benchmarks)
 	}
 	churn := r.Benchmarks[0]
-	if churn.Name != "BenchmarkKernelEventChurn" || churn.Pkg != "repro/internal/sim" ||
+	if churn.Name != "BenchmarkKernelEventChurn" || churn.Procs != 1 || churn.Pkg != "repro/internal/sim" ||
 		churn.Runs != 7461938 || churn.NsPerOp != 163.0 || churn.Metrics["events/op"] != 1 {
 		t.Errorf("churn line misparsed: %+v", churn)
 	}
 	heap := r.Benchmarks[1]
-	if heap.Metrics["B/op"] != 0 || heap.Metrics["allocs/op"] != 0 {
-		t.Errorf("alloc metrics misparsed: %+v", heap)
+	if heap.Name != "BenchmarkEventHeap/concrete" || heap.Procs != 8 ||
+		heap.Metrics["B/op"] != 0 || heap.Metrics["allocs/op"] != 0 {
+		t.Errorf("suffixed sub-benchmark misparsed: %+v", heap)
 	}
-	fig := r.Benchmarks[2]
-	if fig.Pkg != "repro" || fig.Runs != 1 || fig.Metrics["exec_s"] != 60.31 {
+	hold := r.Benchmarks[2]
+	if hold.Name != "BenchmarkKernelHold" || hold.Procs != 2 || hold.NsPerOp != 383.9 {
+		t.Errorf("suffixed line misparsed: %+v", hold)
+	}
+	fig := r.Benchmarks[3]
+	if fig.Name != "BenchmarkFig05ExecutionTime" || fig.Procs != 8 ||
+		fig.Pkg != "repro" || fig.Runs != 1 || fig.Metrics["exec_s"] != 60.31 {
 		t.Errorf("figure line misparsed: %+v", fig)
 	}
 }

@@ -95,7 +95,8 @@ func Named(name string) (Config, bool) {
 }
 
 // Node is one compute node. Each node runs at most one MPI process (as in
-// the paper's experiments).
+// the paper's experiments), and draws its OS noise (compute jitter and
+// daemon delays) from a stream of its own.
 type Node struct {
 	ID     int
 	Cfg    *Config
@@ -117,7 +118,9 @@ type Cluster struct {
 }
 
 // New builds a cluster of n nodes under kernel k. Each node gets an
-// independent deterministic noise stream derived from the kernel's RNG.
+// independent deterministic noise stream seeded from the kernel's RNG. The
+// streams come from sim.NewRand, so a node that draws fewer than 274 values
+// in a run, as most do, never holds math/rand's 4.9 KB register.
 func New(k *sim.Kernel, n int, cfg Config) *Cluster {
 	c := &Cluster{K: k, Cfg: cfg}
 	for i := 0; i < n; i++ {
@@ -129,7 +132,7 @@ func New(k *sim.Kernel, n int, cfg Config) *Cluster {
 			Disk:   sim.NewResource(k, fmt.Sprintf("disk%d", i), cfg.DiskWrite),
 			k:      k,
 
-			noiseRand: rand.New(rand.NewSource(k.Rand().Int63())),
+			noiseRand: sim.NewRand(k.Rand().Int63()),
 		}
 		nd.advanceNoise(0)
 		c.Nodes = append(c.Nodes, nd)

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"context"
+	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 )
@@ -51,22 +53,56 @@ func benchScenario4096(b *testing.B, ins Instrument) {
 	benchSweep(b, s, ins)
 }
 
-// benchSweep runs s's sweep b.N times under ins and reports events/s beside
-// ns/op: kernel events (Result.Events, summed over the cells through the
-// RunObserved observer) per second of benchmark time — the simulation's
-// throughput, comparable across cells of different sizes.
+// benchSweep runs s's sweep b.N times under ins and reports, beside ns/op,
+// events/s — kernel events (Result.Events, summed over the cells through
+// the RunObserved observer) per second of benchmark time, the simulation's
+// throughput comparable across cells of different sizes — and
+// peak-heap-MB, the most heap-object bytes sampled while the sweeps ran.
 func benchSweep(b *testing.B, s *Spec, ins Instrument) {
 	var events atomic.Uint64
 	count := func(_ Cell, res *harness.Result) error {
 		events.Add(res.Events)
 		return nil
 	}
+	peakHeap := samplePeakHeap()
+	defer func() { b.ReportMetric(float64(peakHeap())/(1<<20), "peak-heap-MB") }()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunObserved(context.Background(), 0, ins, count); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(events.Load())/b.Elapsed().Seconds(), "events/s")
+}
+
+// samplePeakHeap reads the heap's object bytes (runtime/metrics
+// /memory/classes/heap/objects:bytes) every 10 ms until the function it
+// returns is called; that call stops the sampler and returns the largest
+// reading.
+func samplePeakHeap() func() uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		top := read()
+		for {
+			select {
+			case <-tick.C:
+				top = max(top, read())
+			case <-done:
+				peak <- max(top, read())
+				return
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
+	}
 }
 
 // BenchmarkScenario16384Parallel is BenchmarkScenario16384 with the cell's

@@ -197,7 +197,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds produce identical simulations.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{rng: NewRand(seed)}
 	k.parts = []*partition{{k: k, id: 0, rng: k.rng}}
 	return k
 }
@@ -230,7 +230,7 @@ func (k *Kernel) SetPartitions(n int, lookahead Time) {
 	k.lookahead = lookahead
 	for i := 1; i < n; i++ {
 		k.parts = append(k.parts, &partition{
-			k: k, id: i, rng: rand.New(rand.NewSource(k.rng.Int63())),
+			k: k, id: i, rng: NewRand(k.rng.Int63()),
 		})
 	}
 }

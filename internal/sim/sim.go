@@ -15,6 +15,9 @@
 //   - Gate: freeze/unfreeze points (checkpoint "Lock MPI")
 //   - Counter: monotone counters with await-at-least (channel drains)
 //
+// NewRand builds the simulation's seeded random streams: math/rand's
+// values, without its 4.9 KB register until a stream's 274th draw.
+//
 // API discipline: all kernel methods must be called either before Run, from
 // within the currently active process, or from a kernel-context callback
 // registered with At. The kernel is not safe for use from foreign goroutines.

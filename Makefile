@@ -83,12 +83,15 @@ bench-trend:
 	$(GO) run ./cmd/benchdiff -trend $(TREND_DIR)
 
 # Short native-fuzzing smoke runs: the scenario spec parser (parser and
-# validator drift) and the simcheck end-to-end oracle (each fuzz input is a
+# validator drift), the simcheck end-to-end oracle (each fuzz input is a
 # generator seed that expands into a full scenario checked against every
-# invariant). Enough executions to catch drift, fast enough for every CI run.
+# invariant), and gbd's request decoding (no panic, 400-only rejections,
+# bounded cell plans). Enough executions to catch drift, fast enough for
+# every CI run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/simcheck
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s ./gb/gbd
 
 # Bounded randomized invariant sweep (~10s): 100 generated scenarios through
 # the simcheck oracle. A printed failing seed reproduces exactly with

@@ -6,7 +6,7 @@ package repro
 // protocol, checkpoints, restarts) and reports the figure's headline
 // quantity as a custom metric.
 //
-// The default configuration uses reduced problem sizes (Options.Quick) so
+// The default configuration uses reduced problem sizes (paper.Options.Quick) so
 // `go test -bench=.` completes in a couple of minutes; the paper-scale runs
 // are `go run ./cmd/gbexp -exp all` (a few minutes more) and produce the
 // numbers recorded in EXPERIMENTS.md.
@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/group"
 	"repro/internal/harness"
+	"repro/internal/paper"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -29,7 +30,7 @@ import (
 
 // quickOpts runs the reduced-size experiments with runs fanned across all
 // cores (Workers 0 = GOMAXPROCS); results are identical to serial runs.
-func quickOpts() harness.Options { return harness.Options{Quick: true, Reps: 1} }
+func quickOpts() paper.Options { return paper.Options{Quick: true, Reps: 1} }
 
 // lastMean extracts the mean of a "m±s" or plain cell for metric reporting.
 // It fails the benchmark on out-of-range cells or unparsable numbers rather
@@ -53,19 +54,20 @@ func lastMean(tb testing.TB, t *stats.Table, row, col int) float64 {
 
 func BenchmarkFig01CoordinationCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig1(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig1(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 1), "agg_coord_s")
 	}
 }
 
 func BenchmarkFig02VCLBlocking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		r, err := harness.Fig2(context.Background(), quickOpts())
+		paper.ResetCaches()
+		r, err := paper.Fig2(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,33 +77,36 @@ func BenchmarkFig02VCLBlocking(b *testing.B) {
 
 func BenchmarkTable1GroupFormation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Table1(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Table1(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(float64(len(t.Rows)), "groups")
 	}
 }
 
 func BenchmarkFig05ExecutionTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		a, _, err := harness.Fig5(context.Background(), quickOpts())
+		paper.ResetCaches()
+		as, err := paper.Fig5(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := as[0]
 		b.ReportMetric(lastMean(b, a, len(a.Rows)-1, 1), "GP_exec_s")
 	}
 }
 
 func BenchmarkFig06CkptRestartAggregates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		a, _, err := harness.Fig6(context.Background(), quickOpts())
+		paper.ResetCaches()
+		as, err := paper.Fig6(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := as[0]
 		gp := lastMean(b, a, len(a.Rows)-1, 1)
 		norm := lastMean(b, a, len(a.Rows)-1, 4)
 		b.ReportMetric(gp, "GP_ckpt_s")
@@ -111,33 +116,36 @@ func BenchmarkFig06CkptRestartAggregates(b *testing.B) {
 
 func BenchmarkFig07ResendData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig7(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig7(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 2), "GP1_resend_KB")
 	}
 }
 
 func BenchmarkFig08ResendOps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig8(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig8(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 2), "GP1_ops")
 	}
 }
 
 func BenchmarkFig09StageBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig9(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig9(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		// Last row is NORM at the largest scale; column 3 is Coordination.
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 3), "NORM_coord_s")
 	}
@@ -145,55 +153,60 @@ func BenchmarkFig09StageBreakdown(b *testing.B) {
 
 func BenchmarkFig10PeriodicCheckpoints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig10(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig10(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 1), "GP_exec_s")
 	}
 }
 
 func BenchmarkFig11CGClassC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		a, _, err := harness.Fig11(context.Background(), quickOpts())
+		paper.ResetCaches()
+		as, err := paper.Fig11(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := as[0]
 		b.ReportMetric(lastMean(b, a, len(a.Rows)-1, 1), "GP_ckpt_s")
 	}
 }
 
 func BenchmarkFig12SPClassC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		a, _, err := harness.Fig12(context.Background(), quickOpts())
+		paper.ResetCaches()
+		as, err := paper.Fig12(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := as[0]
 		b.ReportMetric(lastMean(b, a, len(a.Rows)-1, 1), "GP_ckpt_s")
 	}
 }
 
 func BenchmarkFig13RemoteStorageScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig13(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig13(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 3), "VCL_exec_s")
 	}
 }
 
 func BenchmarkFig14AvgCheckpointTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		t, err := harness.Fig14(context.Background(), quickOpts())
+		paper.ResetCaches()
+		ts, err := paper.Fig14(context.Background(), quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		t := ts[0]
 		b.ReportMetric(lastMean(b, t, len(t.Rows)-1, 2), "VCL_ckpt_s")
 	}
 }
@@ -214,11 +227,12 @@ func BenchmarkParallelWorkers(b *testing.B) {
 			o := quickOpts()
 			o.Workers = tc.workers
 			for i := 0; i < b.N; i++ {
-				harness.ResetCaches()
-				a, _, err := harness.Fig5(context.Background(), o)
+				paper.ResetCaches()
+				as, err := paper.Fig5(context.Background(), o)
 				if err != nil {
 					b.Fatal(err)
 				}
+				a := as[0]
 				b.ReportMetric(lastMean(b, a, len(a.Rows)-1, 1), "GP_exec_s")
 			}
 		})

@@ -18,11 +18,11 @@
 // count. Interrupting gbexp (SIGINT/SIGTERM) cancels the in-flight runs
 // cleanly through the context.
 //
-// Seeds are pure inputs everywhere: figure experiments use fixed per-point
-// seeds, and a scenario spec's "seed" field (0 = the deterministic default
-// 1) fully determines every cell. Nothing ever seeds from the wall clock —
-// rerunning any command reproduces its output byte-for-byte, which is what
-// lets `gbcheck` print a reproducing seed when an invariant fails.
+// Seeds are pure inputs everywhere: every figure experiment is a scenario
+// sweep, and a spec's "seed" field (0 = the deterministic default 1) plus a
+// cell's position in the matrix fully determine the cell. Nothing ever
+// seeds from the wall clock — rerunning any command reproduces its output
+// byte-for-byte, which is what lets `gbcheck` print a reproducing seed.
 package main
 
 import (

@@ -31,18 +31,21 @@
 //	                   mpirun controller, restart, and the MPICH-VCL baseline
 //	internal/workload  HPL and NPB CG/SP communication-accurate skeletons
 //	internal/failure   failure injection and group-vs-global recovery
-//	internal/harness   run assembly (Spec → Result, observer stacking) and
-//	                   the paper's experiments (Figures 1–14, Table 1)
-//	internal/runner    parallel experiment engine: worker pool + memoization
-//	internal/scenario  declarative JSON experiment specs (gbexp -scenario);
-//	                   built-in profiles up to 16384 ranks (scale16k)
+//	internal/harness   run assembly (Spec → Result, observer stacking)
+//	internal/runner    worker pool + memoization under every run matrix
+//	internal/scenario  declarative JSON experiment specs (gbexp -scenario),
+//	                   the one run-matrix engine (Matrix) and cell summary;
+//	                   built-in profiles up to 65536 ranks (scale64k)
+//	internal/paper     the paper's experiments (Figures 1–14, Table 1) as
+//	                   scenario sweeps
 //	internal/simcheck  randomized scenario generation + the invariant
 //	                   oracle behind cmd/gbcheck and FuzzScenario
 //
-// Experiments hand their run matrix (scales × modes × repetitions) to
-// internal/runner, which fans the independent, deterministically seeded
-// simulations across GOMAXPROCS workers and collects results in stable
-// order — `gbexp -parallel N` output is byte-identical to serial runs.
+// Every sweep — a scenario file or one of the paper's figures — runs its
+// matrix (scales × modes × repetitions) through scenario.Matrix, which fans
+// the independent, deterministically seeded simulations across GOMAXPROCS
+// workers and collects results in stable order — `gbexp -parallel N`
+// output is byte-identical to serial runs.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation (reduced problem sizes by default; `go run ./cmd/gbexp

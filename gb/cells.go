@@ -12,6 +12,13 @@ import (
 // ScenarioCells — a key is only meaningful for the scenario that minted it.
 type CellKey = scenario.Cell
 
+// CellSummary is one finished cell's headline figures: coordinates, seed,
+// engine, execution time, checkpoint and event counts, and failure and
+// job-stream aggregates when the cell had them. It is the one cell summary
+// the sweep table, the gbd wire cell, and the tuner all read; its JSON
+// encoding is the gbd wire format.
+type CellSummary = scenario.Summary
+
 // CanonicalScenario returns the scenario's canonical wire encoding: compact
 // JSON, stable field order, every defaulted knob written out. The bytes
 // round-trip through ParseScenario unchanged, so they serve as both the
@@ -43,15 +50,11 @@ func SpecKey(sc *Scenario) (string, error) {
 // would run. Feed them to RunCell to execute cells individually — e.g. on
 // a scheduler that interleaves cells from many sweeps, as gbd does.
 func ScenarioCells(sc *Scenario) ([]CellKey, error) {
-	if sc == nil {
-		return nil, errBadSpec("nil scenario")
+	spec, _, err := newConfig(scopeCell).sweepSpec(sc)
+	if err != nil {
+		return nil, err
 	}
-	cp := *sc
-	cp.Normalize()
-	if err := cp.Validate(); err != nil {
-		return nil, fmt.Errorf("gb: %w: %v", ErrBadSpec, err)
-	}
-	return cp.Cells(), nil
+	return spec.Cells(), nil
 }
 
 // RunCell executes exactly one cell of a scenario and returns its full run

@@ -240,16 +240,25 @@ func badSpec(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", gb.ErrBadSpec, fmt.Sprintf(format, args...))
 }
 
-// decode parses and validates a RunRequest body.
-func (s *Server) decode(r *http.Request) (*request, error) {
+// decodeBody decodes a request body of at most 1 MiB into v, rejecting
+// unknown fields and trailing data.
+func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badSpec("decoding request: %v", err)
+	if err := dec.Decode(v); err != nil {
+		return badSpec("decoding request: %v", err)
 	}
 	if dec.More() {
-		return nil, badSpec("trailing data after request body")
+		return badSpec("trailing data after request body")
+	}
+	return nil
+}
+
+// decode parses and validates a RunRequest body.
+func (s *Server) decode(r *http.Request) (*request, error) {
+	var req RunRequest
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Spec) == 0 {
 		return nil, badSpec("request has no spec")
@@ -272,13 +281,14 @@ func (s *Server) decode(r *http.Request) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bound the matrix before building it: Cells allocates every cell.
+	if n := sc.CellCount(); n > s.opts.MaxCells {
+		return nil, badSpec("scenario %q has %d cells; this daemon accepts at most %d",
+			sc.Name, n, s.opts.MaxCells)
+	}
 	cells, err := gb.ScenarioCells(sc)
 	if err != nil {
 		return nil, err
-	}
-	if len(cells) > s.opts.MaxCells {
-		return nil, badSpec("scenario %q has %d cells; this daemon accepts at most %d",
-			sc.Name, len(cells), s.opts.MaxCells)
 	}
 	horizonS := req.HorizonS
 	if horizonS == 0 {

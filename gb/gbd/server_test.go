@@ -138,6 +138,24 @@ func TestMaxCells(t *testing.T) {
 	}
 }
 
+// hugeRepsSpec asks for a matrix far too large to allocate.
+var hugeRepsSpec = strings.Replace(oneCellSpec, `"reps": 1`, `"reps": 10000000000000`, 1)
+
+// TestHugeMatrixRejected: a sweep whose matrix is too large to build gets a
+// 400 before any cell is allocated, and the daemon keeps serving.
+func TestHugeMatrixRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	resp := post(t, ts.URL+"/v1/sweeps", sweepBody(hugeRepsSpec), nil)
+	body := readAll(t, resp)
+	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("at most 4096")) {
+		t.Fatalf("status = %d body = %s, want 400 mentioning the cap", resp.StatusCode, body)
+	}
+	resp = post(t, ts.URL+"/v1/runs", sweepBody(oneCellSpec), nil)
+	if body := readAll(t, resp); resp.StatusCode != 200 {
+		t.Fatalf("daemon stopped serving after the rejection: status %d body %s", resp.StatusCode, body)
+	}
+}
+
 // TestRunCacheDeterminism: the same one-cell spec posted twice returns
 // byte-identical bodies, with the cache header flipping miss -> hit.
 func TestRunCacheDeterminism(t *testing.T) {

@@ -40,14 +40,9 @@ type tuneRequest struct {
 // upper bound (the whole ladder plus baseline and sensitivity, memoization
 // aside) is held to the same -max-cells budget sweeps are.
 func (s *Server) decodeTune(r *http.Request) (*tuneRequest, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req TuneRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badSpec("decoding request: %v", err)
-	}
-	if dec.More() {
-		return nil, badSpec("trailing data after request body")
+	if err := decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Spec) == 0 {
 		return nil, badSpec("request has no spec")
@@ -75,7 +70,7 @@ func (s *Server) decodeTune(r *http.Request) (*tuneRequest, error) {
 // unbounded): substituting the daemon's default would fork the search away
 // from what the same spec computes in-process, breaking report parity.
 func (s *Server) tuneRunner() tune.Runner {
-	return func(ctx context.Context, ev tune.Eval) ([]tune.CellMeasure, error) {
+	return func(ctx context.Context, ev tune.Eval) ([]gb.CellSummary, error) {
 		specKey, err := gb.SpecKey(ev.Spec)
 		if err != nil {
 			return nil, err
@@ -95,19 +90,13 @@ func (s *Server) tuneRunner() tune.Runner {
 		if err != nil {
 			return nil, err
 		}
-		measures := make([]tune.CellMeasure, len(out))
+		sums := make([]WireCell, len(out))
 		for i, b := range out {
-			var wc WireCell
-			if err := json.Unmarshal(b, &wc); err != nil {
+			if err := json.Unmarshal(b, &sums[i]); err != nil {
 				return nil, fmt.Errorf("gbd: tune cell %d: %w", i, err)
 			}
-			measures[i] = tune.CellMeasure{ExecS: wc.ExecSeconds}
-			if wc.Failures != nil {
-				measures[i].LostGroupS = wc.Failures.LostGroupSeconds
-				measures[i].LostGlobalS = wc.Failures.LostGlobalSeconds
-			}
 		}
-		return measures, nil
+		return sums, nil
 	}
 }
 

@@ -189,6 +189,46 @@ func TestTuneErrorTable(t *testing.T) {
 	}
 }
 
+// overflowTuneSpec plans 9 candidates × 1024819115206086201 reps on its
+// first rung: more cells than an int holds.
+const overflowTuneSpec = `{
+	"scenario": {
+		"name": "overflow",
+		"workload": {"kind": "synthetic", "iters": 6, "imageMB": 1},
+		"modes": ["GP1"],
+		"checkpoint": {"intervalS": 2}
+	},
+	"modes": ["GP1", "GP4", "NORM"],
+	"intervalsS": [1, 2, 3],
+	"rungs": [{"scale": 4, "reps": 1024819115206086201}, {"scale": 8}]
+}`
+
+// TestTuneCrashRequestsRejected: requests that once crashed the daemon — a
+// cell plan overflowing int, a negative seeded interval grid — get a 400,
+// and the daemon keeps serving.
+func TestTuneCrashRequestsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	negativeGrid := `{
+		"scenario": {
+			"name": "grid",
+			"workload": {"kind": "synthetic", "iters": 6, "imageMB": 1},
+			"failures": {"process": "poisson", "mtbfS": 3}
+		},
+		"intervalCount": -3,
+		"rungs": [{"scale": 4}]
+	}`
+	for _, spec := range []string{overflowTuneSpec, negativeGrid} {
+		resp := post(t, ts.URL+"/v1/tune", tuneBody(spec), nil)
+		if body := readAll(t, resp); resp.StatusCode != 400 {
+			t.Fatalf("status = %d body = %s, want 400", resp.StatusCode, body)
+		}
+	}
+	resp := post(t, ts.URL+"/v1/runs", sweepBody(oneCellSpec), nil)
+	if body := readAll(t, resp); resp.StatusCode != 200 {
+		t.Fatalf("daemon stopped serving after the rejections: status %d body %s", resp.StatusCode, body)
+	}
+}
+
 // TestTuneDrainRejects: a draining daemon turns away new tune work with
 // 503, like any sweep.
 func TestTuneDrainRejects(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 	"fmt"
 
 	"repro/gb"
-	"repro/internal/failure"
+	"repro/internal/scenario"
 )
 
 // RunRequest is the body of POST /v1/runs and POST /v1/sweeps: a scenario
@@ -42,41 +42,11 @@ type RunRequest struct {
 	RunWorkers int `json:"runWorkers,omitempty"`
 }
 
-// WireFailures aggregates a cell's injected-failure outcomes on the wire.
-type WireFailures struct {
-	Count             int     `json:"count"`
-	LostGroupSeconds  float64 `json:"lostGroupSeconds"`
-	LostGlobalSeconds float64 `json:"lostGlobalSeconds"`
-	ReplayBytes       int64   `json:"replayBytes"`
-	SavedSeconds      float64 `json:"savedSeconds"`
-}
-
-// WireJobs aggregates a cluster cell's job stream on the wire (specs with a
-// jobs block; execSeconds is then the cluster makespan).
-type WireJobs struct {
-	Count           int     `json:"count"`
-	Placement       string  `json:"placement"`
-	Utilization     float64 `json:"utilization"`
-	MeanWaitSeconds float64 `json:"meanWaitSeconds"`
-	MaxWaitSeconds  float64 `json:"maxWaitSeconds"`
-}
-
-// WireCell is one finished cell on the wire: its matrix coordinates and
-// seed, the engine that ran, and the run's headline figures. Rendered once
-// at compute time and cached as bytes, so cached and freshly computed
-// responses are byte-identical by construction.
-type WireCell struct {
-	Scale       int           `json:"scale"`
-	Mode        string        `json:"mode"`
-	Rep         int           `json:"rep"`
-	Seed        int64         `json:"seed"`
-	Engine      string        `json:"engine"`
-	ExecSeconds float64       `json:"execSeconds"`
-	Epochs      int           `json:"epochs"`
-	Events      uint64        `json:"events"`
-	Failures    *WireFailures `json:"failures,omitempty"`
-	Jobs        *WireJobs     `json:"jobs,omitempty"`
-}
+// WireCell is one finished cell on the wire: the shared cell summary,
+// gb.CellSummary. Rendered once at compute time and cached as bytes, so
+// cached and freshly computed responses are byte-identical by
+// construction.
+type WireCell = gb.CellSummary
 
 // RunResponse is the body of a successful POST /v1/runs.
 type RunResponse struct {
@@ -129,36 +99,7 @@ func marshalWire(v any) ([]byte, error) {
 
 // renderCell converts one finished cell into its wire bytes.
 func renderCell(c gb.CellKey, res *gb.Result) ([]byte, error) {
-	w := WireCell{
-		Scale:       c.Scale,
-		Mode:        c.Mode,
-		Rep:         c.Rep,
-		Seed:        c.Seed,
-		Engine:      res.Name,
-		ExecSeconds: res.ExecTime.Seconds(),
-		Epochs:      res.Epochs,
-		Events:      res.Events,
-	}
-	if len(res.Failures) > 0 {
-		t := failure.Sum(res.Failures)
-		w.Failures = &WireFailures{
-			Count:             t.Failures,
-			LostGroupSeconds:  t.WorkLossGrp.Seconds(),
-			LostGlobalSeconds: t.WorkLossGlb.Seconds(),
-			ReplayBytes:       t.ReplayBytes,
-			SavedSeconds:      t.WorkSaved().Seconds(),
-		}
-	}
-	if res.Jobs != nil {
-		w.Jobs = &WireJobs{
-			Count:           len(res.Jobs.Jobs),
-			Placement:       res.Jobs.Placement,
-			Utilization:     res.Jobs.Utilization,
-			MeanWaitSeconds: res.Jobs.MeanWait.Seconds(),
-			MaxWaitSeconds:  res.Jobs.MaxWait.Seconds(),
-		}
-	}
-	b, err := marshalWire(w)
+	b, err := marshalWire(scenario.Summarize(c, res))
 	if err != nil {
 		return nil, fmt.Errorf("gbd: render cell %d/%s/%d: %w", c.Scale, c.Mode, c.Rep, err)
 	}

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"repro/internal/ckpt"
-	"repro/internal/failure"
 	"repro/internal/jobs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tune"
 )
@@ -64,7 +64,7 @@ func TuneSpecKey(ts *TuneSpec) (string, error) { return tune.Key(ts) }
 // Tune searches the spec's policy grid for the configuration minimizing
 // its objective, by successive halving over real simulated cells: a wide
 // first rung of cheap cells, the top 1/eta promoted to each
-// fuller-resolution rung, every cell driven through RunCell under the
+// fuller-resolution rung, every cell run on the sweep engine under the
 // determinism contract. The report is byte-identical at every worker
 // count and across runs — a tune spec plus its seed IS the experiment.
 //
@@ -93,47 +93,24 @@ func Tune(ctx context.Context, ts *TuneSpec, opts ...Option) (*TuneReport, error
 	})
 }
 
-// tuneRunner backs the search with RunCell: one eval is the derived
-// scenario's whole (single-candidate) matrix, run serially in matrix order
-// — the search parallelizes across evals, so rep-level serialism costs
-// nothing and keeps the measure order spec-defined.
+// tuneRunner backs the search with scenario.Matrix: one eval is the
+// derived scenario's whole (single-candidate) matrix, run serially in
+// matrix order — the search parallelizes across evals, so rep-level
+// serialism costs nothing and keeps the summary order spec-defined.
 func (c *config) tuneRunner() tune.Runner {
 	runWorkers := c.runWorkers
-	return func(ctx context.Context, ev tune.Eval) ([]tune.CellMeasure, error) {
-		cells, err := ScenarioCells(ev.Spec)
+	return func(ctx context.Context, ev tune.Eval) ([]CellSummary, error) {
+		spec, _, err := newConfig(scopeCell).sweepSpec(ev.Spec)
 		if err != nil {
 			return nil, err
 		}
-		var opts []Option
-		if ev.HorizonS > 0 {
-			opts = append(opts, WithHorizon(sim.Seconds(ev.HorizonS)))
-		}
-		if runWorkers > 0 {
-			opts = append(opts, WithRunWorkers(runWorkers))
-		}
-		out := make([]tune.CellMeasure, 0, len(cells))
-		for _, cell := range cells {
-			res, err := RunCell(ctx, ev.Spec, cell, opts...)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, tuneMeasure(res))
-		}
-		return out, nil
+		// The horizon takes WithHorizon's path (seconds → Time → seconds),
+		// as gbd's cells do, so both backends stop a cell at the same instant.
+		ins := scenario.Instrument{HorizonS: sim.Seconds(ev.HorizonS).Seconds(), RunWorkers: runWorkers}
+		return scenario.Matrix(ctx, spec, 1, ins, func(cell CellKey, res *Result) (CellSummary, error) {
+			return scenario.Summarize(cell, res), nil
+		})
 	}
-}
-
-// tuneMeasure extracts the searchable figures from one cell result — the
-// same fields, computed the same way, as the gbd wire cell, so in-process
-// and service-backed searches of one spec score identically.
-func tuneMeasure(res *Result) tune.CellMeasure {
-	m := tune.CellMeasure{ExecS: res.ExecTime.Seconds()}
-	if len(res.Failures) > 0 {
-		t := failure.Sum(res.Failures)
-		m.LostGroupS = t.WorkLossGrp.Seconds()
-		m.LostGlobalS = t.WorkLossGlb.Seconds()
-	}
-	return m
 }
 
 // YoungInterval is Young's first-order optimal checkpoint interval

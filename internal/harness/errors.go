@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Sentinel errors for the three ways a run can fail before or instead of
 // completing. The public gb facade re-exports them; every error returned by
@@ -28,17 +24,3 @@ var (
 	// is unwound, and partial results are discarded.
 	ErrCanceled = errors.New("run canceled")
 )
-
-// NormalizeCancel folds a raw context error (context.Canceled or
-// context.DeadlineExceeded, as a worker pool returns when a cancel lands
-// between cells rather than inside one) into the ErrCanceled sentinel, so
-// every cancellation — wherever it landed — matches
-// errors.Is(err, ErrCanceled). Errors already carrying the sentinel, and
-// all other errors, pass through unchanged.
-func NormalizeCancel(err error) error {
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
-		!errors.Is(err, ErrCanceled) {
-		return fmt.Errorf("harness: %w: %v", ErrCanceled, err)
-	}
-	return err
-}

@@ -1,10 +1,12 @@
-package harness
+package harness_test
 
 import (
 	"context"
 	"fmt"
 	"strings"
 	"testing"
+
+	. "repro/internal/paper"
 )
 
 // TestFullScaleShapes verifies the paper's headline orderings on
@@ -15,10 +17,11 @@ func TestFullScaleShapes(t *testing.T) {
 		t.Skip("full-scale shape check")
 	}
 	// Figure 1 shape: aggregate coordination grows superlinearly.
-	tb, err := Fig1(context.Background(), Options{Reps: 1, Scales: []int{16, 64}})
+	tbs, err := Fig1(context.Background(), Options{Reps: 1, Scales: []int{16, 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := tbs[0]
 	small := meanCell(t, tb.Rows[0][1])
 	large := meanCell(t, tb.Rows[1][1])
 	if large < 3*small {
@@ -26,10 +29,11 @@ func TestFullScaleShapes(t *testing.T) {
 	}
 
 	// Figure 6a shape at one mid scale: NORM ≫ GP ≥ GP1.
-	a, _, err := Fig6(context.Background(), Options{Reps: 1, Scales: []int{64}})
+	as, err := Fig6(context.Background(), Options{Reps: 1, Scales: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := as[0]
 	gp := meanCell(t, a.Rows[0][1])
 	gp1 := meanCell(t, a.Rows[0][2])
 	norm := meanCell(t, a.Rows[0][4])

@@ -1,7 +1,9 @@
-// Package harness runs the paper's experiments: it wires workloads,
-// cluster, protocol engines, schedules, and restarts together, repeats each
-// configuration over seeds (the paper averages five repetitions), and
-// formats the same rows and series the paper's tables and figures report.
+// Package harness assembles one simulation run: Run wires a workload, the
+// calibrated cluster, a protocol engine, a checkpoint schedule, observers,
+// and an optional failure injector together (Spec → Result), and Restart
+// replays a whole-application restart from the run's latest checkpoint.
+// Every scenario cell (internal/scenario) and every figure of the paper
+// (internal/paper) is one or more of these runs.
 package harness
 
 import (
@@ -479,6 +481,10 @@ func formationFor(ctx context.Context, spec Spec) (group.Formation, error) {
 }
 
 var formationCache runner.Memo[group.Formation]
+
+// ResetCaches clears the memoized tracing formations. The benchmarks call
+// it so every iteration measures real work.
+func ResetCaches() { formationCache.Reset() }
 
 // tracedFormation runs the workload once with the streaming CommMatrix
 // tracer (no checkpoints) and feeds the matrix to Algorithm 2, so the

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/group"
@@ -129,70 +127,6 @@ func TestTraceAttached(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.reps() != 5 {
-		t.Errorf("default reps = %d", o.reps())
-	}
-	if (Options{Quick: true}).reps() != 2 {
-		t.Error("quick reps != 2")
-	}
-	if got := (Options{Scales: []int{9}}).scales([]int{1}, []int{2}); got[0] != 9 {
-		t.Error("explicit scales ignored")
-	}
-}
-
-func TestFig1Quick(t *testing.T) {
-	tb, err := Fig1(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	if !strings.Contains(tb.String(), "procs") {
-		t.Error("missing header")
-	}
-}
-
-func TestTable1QuickRecoversColumns(t *testing.T) {
-	tb, err := Table1(context.Background(), Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("groups = %d, want 4:\n%s", len(tb.Rows), tb)
-	}
-	// Table 1's first group is the round-robin column {0 4 8 ... 28}.
-	if !strings.Contains(tb.Rows[0][1], "[0 4 8") {
-		t.Errorf("group 1 = %s, want round-robin ranks", tb.Rows[0][1])
-	}
-}
-
-func TestFig5QuickShapes(t *testing.T) {
-	a, b, err := Fig5(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 1 || len(b.Rows) != 1 {
-		t.Fatalf("rows: %d/%d", len(a.Rows), len(b.Rows))
-	}
-	// NORM's diff from itself must be ~0.
-	if b.Rows[0][4] != "0.00" && b.Rows[0][4] != "-0.00" {
-		t.Errorf("NORM diff = %s", b.Rows[0][4])
-	}
-}
-
-func TestFig6QuickShapes(t *testing.T) {
-	a, b, err := Fig6(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) == 0 || len(b.Rows) == 0 {
-		t.Fatal("empty tables")
-	}
-}
-
 func TestAggregateCoordinationExcludesWrite(t *testing.T) {
 	res, err := Run(context.Background(), Spec{
 		WL: workload.NewSynthetic(4, 60), Mode: NORM, Seed: 1,
@@ -211,98 +145,6 @@ func TestAggregateCoordinationExcludesWrite(t *testing.T) {
 	}
 	if coord <= 0 {
 		t.Error("no coordination time measured")
-	}
-}
-
-func TestFig7Fig8QuickShapes(t *testing.T) {
-	o := Options{Quick: true, Reps: 1, Scales: []int{16}}
-	t7, err := Fig7(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t8, err := Fig8(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t7.Rows) != 1 || len(t8.Rows) != 1 {
-		t.Fatalf("rows: %d/%d", len(t7.Rows), len(t8.Rows))
-	}
-}
-
-func TestFig9QuickHasAllModes(t *testing.T) {
-	tb, err := Fig9(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One row per mode per boundary scale; single scale → boundary twice.
-	if len(tb.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8:\n%s", len(tb.Rows), tb)
-	}
-}
-
-func TestFig10Quick(t *testing.T) {
-	tb, err := Fig10(context.Background(), Options{Quick: true, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-	// Interval 0 row must report zero checkpoints for both modes.
-	if tb.Rows[0][2] != "0.00" || tb.Rows[0][4] != "0.00" {
-		t.Errorf("interval-0 row has checkpoints: %v", tb.Rows[0])
-	}
-}
-
-func TestFig11Fig12Quick(t *testing.T) {
-	a, b, err := Fig11(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 1 || len(b.Rows) != 1 {
-		t.Fatal("CG tables wrong size")
-	}
-	a, b, err = Fig12(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 1 || len(b.Rows) != 1 {
-		t.Fatal("SP tables wrong size")
-	}
-}
-
-func TestFig13Fig14Quick(t *testing.T) {
-	o := Options{Quick: true, Reps: 1, Scales: []int{16}}
-	t13, err := Fig13(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t14, err := Fig14(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t13.Rows) != 1 || len(t14.Rows) != 1 {
-		t.Fatal("remote-suite tables wrong size")
-	}
-	// The paper's fairness rule caps GP at VCL's checkpoint count; GP may
-	// complete fewer if its (shorter) execution ends first.
-	gp, _ := strconv.ParseFloat(t13.Rows[0][2], 64)
-	vcl, _ := strconv.ParseFloat(t13.Rows[0][4], 64)
-	if gp > vcl {
-		t.Errorf("GP ckpts %v exceed VCL ckpts %v", gp, vcl)
-	}
-}
-
-func TestFig2Quick(t *testing.T) {
-	r, err := Fig2(context.Background(), Options{Quick: true, Reps: 1, Scales: []int{8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Table.Rows) != 1 {
-		t.Fatalf("rows = %d", len(r.Table.Rows))
-	}
-	if len(r.Timelines) == 0 {
-		t.Error("no timelines rendered")
 	}
 }
 

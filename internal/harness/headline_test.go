@@ -1,6 +1,6 @@
 //go:build !race
 
-package harness
+package harness_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	. "repro/internal/paper"
 	"repro/internal/stats"
 )
 

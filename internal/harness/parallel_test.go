@@ -8,48 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParallelMatchesSerial is the engine's core guarantee: fanning an
-// experiment's run matrix across workers produces byte-identical tables to
-// running it serially, because every run is seeded from its matrix key.
-func TestParallelMatchesSerial(t *testing.T) {
-	base := Options{Quick: true, Reps: 2, Scales: []int{16}}
-
-	render := func(o Options) []string {
-		ResetCaches()
-		var out []string
-		f1, err := Fig1(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, f1.String())
-		a, b, err := Fig6(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, a.String(), b.String())
-		f13, err := Fig13(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, f13.String())
-		return out
-	}
-
-	serial := base
-	serial.Workers = 1
-	parallel := base
-	parallel.Workers = 4
-
-	want := render(serial)
-	got := render(parallel)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("table %d differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				i, want[i], got[i])
-		}
-	}
-}
-
 // TestConcurrentFormationCache hammers the formation cache from many
 // goroutines: same-key callers must share one tracing pass, different keys
 // must not corrupt each other. Run under -race in CI.

@@ -1,6 +1,10 @@
-package harness
+package harness_test
 
-import "testing"
+import (
+	"testing"
+
+	. "repro/internal/paper"
+)
 
 func TestRegistryIDsUniqueAndResolvable(t *testing.T) {
 	ids := IDs()

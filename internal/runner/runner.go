@@ -1,13 +1,14 @@
-// Package runner is the harness's parallel experiment execution engine: a
-// worker-pool scheduler that fans independent simulation runs across
-// GOMAXPROCS goroutines and collects their results in stable input order.
+// Package runner is the worker pool under every run matrix: it fans
+// independent simulation runs across GOMAXPROCS goroutines and collects
+// their results in stable input order (MapCtx) or streams them as they
+// finish (Each).
 //
 // Every run in this repository is a deterministic discrete-event simulation
-// seeded from its matrix key (scale, mode, repetition), so runs share no
+// seeded from its matrix cell (scale, mode, repetition), so runs share no
 // state and their results do not depend on scheduling. The runner exploits
-// that: experiments hand it their run matrix as a flat slice of keys, and
-// Map guarantees results[i] corresponds to keys[i] no matter which worker
-// executed it or in what order workers finished. Parallel output is
+// that: scenario.Matrix hands it a sweep's cells as a flat slice, and
+// MapCtx guarantees results[i] corresponds to keys[i] no matter which
+// worker executed it or in what order workers finished. Parallel output is
 // therefore byte-identical to serial output.
 package runner
 
@@ -22,22 +23,16 @@ import (
 // the process's GOMAXPROCS, i.e. every core the runtime will schedule on.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Map applies fn to every key on up to workers goroutines and returns the
-// results in input order: results[i] is fn(keys[i]). workers <= 0 means
-// DefaultWorkers(); the pool never exceeds len(keys).
+// MapCtx applies fn to every key on up to workers goroutines and returns
+// the results in input order: results[i] is fn(keys[i]). workers <= 0
+// means DefaultWorkers(); the pool never exceeds len(keys).
 //
 // fn must be safe to call concurrently from multiple goroutines. If any call
-// fails, Map stops handing out new keys, waits for in-flight calls, and
+// fails, MapCtx stops handing out new keys, waits for in-flight calls, and
 // returns the error of the lowest-indexed failed key (deterministic even
-// when several keys fail in the same batch) along with a nil slice.
-func Map[K, T any](workers int, keys []K, fn func(K) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, keys, fn)
-}
-
-// MapCtx is Map with cancellation: once ctx is done the pool stops handing
-// out new keys, waits for in-flight calls, and returns the context's error
-// (unless a key failed first — a key error at a lower index wins, keeping
-// the error deterministic). fn itself is expected to observe ctx through
+// when several keys fail in the same batch) along with a nil slice. Once
+// ctx is done the pool likewise stops and returns the context's error,
+// unless a key failed first. fn itself is expected to observe ctx through
 // its closure if its work should stop mid-key.
 func MapCtx[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, error)) ([]T, error) {
 	n := len(keys)
@@ -125,14 +120,14 @@ type Indexed[T any] struct {
 
 // Each applies fn to every key on up to workers goroutines and delivers
 // results on the returned channel in completion order — the streaming
-// counterpart to Map, for consumers that want cells as they finish rather
+// counterpart to MapCtx, for consumers that want cells as they finish rather
 // than a barrier at the end. The channel closes once every claimed key has
 // been delivered or dropped.
 //
 // Cancellation contract: when ctx is done, workers stop claiming new keys
 // and stop delivering (an undeliverable in-flight result is dropped), so a
 // consumer that cancels and then drains the channel never leaks a
-// goroutine. Unlike Map, an error result does not stop the pool — the
+// goroutine. Unlike MapCtx, an error result does not stop the pool — the
 // consumer decides whether to cancel.
 func Each[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, error)) <-chan Indexed[T] {
 	n := len(keys)
@@ -179,8 +174,8 @@ func Each[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, e
 	return out
 }
 
-// Memo is a concurrency-safe memoization table keyed by string, used for the
-// harness's expensive shared artifacts (tracing passes, experiment suites).
+// Memo is a concurrency-safe memoization table keyed by string, used for
+// expensive shared artifacts (tracing passes, the paper's sweeps).
 // Concurrent callers of Get with the same key block until the single build
 // completes and then share its result; callers with different keys build
 // concurrently. Results — including errors — stay cached until Reset.

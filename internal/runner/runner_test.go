@@ -19,7 +19,7 @@ func TestMapOrder(t *testing.T) {
 		keys[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 8, 200} {
-		got, err := Map(workers, keys, func(k int) (int, error) {
+		got, err := MapCtx(context.Background(), workers, keys, func(k int) (int, error) {
 			// Reverse-skewed delay: late keys finish first under
 			// parallelism, stressing the ordering guarantee.
 			time.Sleep(time.Duration(100-k) * time.Microsecond)
@@ -40,9 +40,9 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, nil, func(int) (int, error) { return 0, nil })
+	got, err := MapCtx(context.Background(), 4, nil, func(int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
-		t.Fatalf("Map(empty) = %v, %v; want nil, nil", got, err)
+		t.Fatalf("MapCtx(empty) = %v, %v; want nil, nil", got, err)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestMapBoundsWorkers(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	keys := make([]int, 64)
-	_, err := Map(workers, keys, func(int) (int, error) {
+	_, err := MapCtx(context.Background(), workers, keys, func(int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -81,7 +81,7 @@ func TestMapErrorDeterministic(t *testing.T) {
 		keys[i] = i
 	}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(8, keys, func(k int) (int, error) {
+		_, err := MapCtx(context.Background(), 8, keys, func(k int) (int, error) {
 			return 0, fmt.Errorf("key %d failed", k)
 		})
 		if err == nil {
@@ -102,7 +102,7 @@ func TestMapErrorStopsScheduling(t *testing.T) {
 	for i := range keys {
 		keys[i] = i
 	}
-	_, err := Map(2, keys, func(k int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, keys, func(k int) (int, error) {
 		started.Add(1)
 		if k == 0 {
 			return 0, boom
@@ -127,7 +127,7 @@ func TestMapErrorLowestIndexAmongMixed(t *testing.T) {
 		keys[i] = i
 	}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(8, keys, func(k int) (int, error) {
+		_, err := MapCtx(context.Background(), 8, keys, func(k int) (int, error) {
 			switch {
 			case k == 40:
 				// Fails instantly, long before key 17 below.

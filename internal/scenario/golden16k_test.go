@@ -30,7 +30,7 @@ func scale16kQuick(t *testing.T) *Spec {
 // moves the table. Regenerate after an intentional change with
 // UPDATE_GOLDEN=1 go test ./internal/scenario -run TestScale16kQuickGolden
 func TestScale16kQuickGolden(t *testing.T) {
-	tb, err := scale16kQuick(t).Run(context.Background(), 0)
+	tb, err := scale16kQuick(t).RunObserved(context.Background(), 0, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

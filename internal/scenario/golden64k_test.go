@@ -33,7 +33,7 @@ func scale64kQuick(t *testing.T) *Spec {
 // touched. Regenerate after an intentional change with
 // UPDATE_GOLDEN=1 go test ./internal/scenario -run TestScale64kQuickGolden
 func TestScale64kQuickGolden(t *testing.T) {
-	tb, err := scale64kQuick(t).Run(context.Background(), 0)
+	tb, err := scale64kQuick(t).RunObserved(context.Background(), 0, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

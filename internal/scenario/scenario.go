@@ -2,29 +2,17 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
-	"repro/internal/failure"
 	"repro/internal/harness"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// cellResult is one run's measurements.
-type cellResult struct {
-	exec   float64
-	epochs float64
-	fails  failure.Totals
-
-	// Cluster-cell (jobs) aggregates; zero unless the spec has a jobs block.
-	jobCount int
-	util     float64
-	meanWait float64
-	maxWait  float64
-}
 
 // Instrument selects per-cell introspection for RunObserved. The zero value
 // adds nothing to the plain Run path.
@@ -59,9 +47,9 @@ type Instrument struct {
 }
 
 // Cell identifies one run of the sweep: the matrix key (scale, mode, rep)
-// in row-major order, mirroring the harness's figure matrices. Seed is the
-// cell's run seed, derived from its position in the flattened matrix so no
-// two cells can collide whatever the Scales/Modes/Reps shape.
+// in row-major order. Seed is the cell's run seed, derived from its
+// position in the flattened matrix so no two cells can collide whatever the
+// Scales/Modes/Reps shape.
 type Cell struct {
 	Scale int
 	Mode  string
@@ -72,10 +60,11 @@ type Cell struct {
 // Cells returns the sweep's flattened run matrix — Scales × Modes × Reps in
 // row-major order, each cell carrying its derived seed. The slice is the
 // unit of streaming: gb.Sweep fans Cells across workers with RunCell and
-// yields them as they finish.
+// yields them as they finish. It holds CellCount cells, so check that first
+// for an untrusted spec.
 func (s *Spec) Cells() []Cell {
 	base := s.Seed * 1_000_003
-	cells := make([]Cell, 0, len(s.Scales)*len(s.Modes)*s.Reps)
+	cells := make([]Cell, 0, s.CellCount())
 	for _, n := range s.Scales {
 		for _, m := range s.Modes {
 			for rep := 0; rep < s.Reps; rep++ {
@@ -85,6 +74,20 @@ func (s *Spec) Cells() []Cell {
 		}
 	}
 	return cells
+}
+
+// CellCount returns the size of the sweep's matrix, Scales × Modes × Reps,
+// without building it: the product saturates at math.MaxInt instead of
+// overflowing, so a bound check on it is safe for any spec.
+func (s *Spec) CellCount() int {
+	n := 1
+	for _, f := range []int{len(s.Scales), len(s.Modes), max(s.Reps, 0)} {
+		if f != 0 && n > math.MaxInt/f {
+			return math.MaxInt
+		}
+		n *= f
+	}
+	return n
 }
 
 // observers builds the per-cell observer stack an Instrument selects. A
@@ -142,63 +145,28 @@ func (s *Spec) RunCell(ctx context.Context, c Cell, ins Instrument) (*harness.Re
 	return harness.Run(ctx, spec)
 }
 
-// Run executes the sweep — Scales × Modes × Reps independent simulations
-// fanned across workers (≤ 0 = all cores) — and renders one table row per
-// (scale, mode). Every cell is seeded from the spec seed and its matrix
-// coordinates, so the table is byte-identical at any worker count and
-// across runs: a scenario file plus a seed IS the experiment. Canceling ctx
-// stops the sweep with an error wrapping harness.ErrCanceled.
-func (s *Spec) Run(ctx context.Context, workers int) (*stats.Table, error) {
-	return s.RunObserved(ctx, workers, Instrument{}, nil)
-}
-
-// RunObserved is Run with per-cell introspection: each completed cell's full
-// harness.Result is handed to obs (nil = none) before being folded into the
-// table. obs is called concurrently from worker goroutines and must be safe
-// for concurrent use; an error from obs fails the sweep. The table is
-// byte-identical to Run's — observation never perturbs the simulation.
+// RunObserved executes the sweep — Scales × Modes × Reps independent
+// simulations fanned across workers (≤ 0 = all cores) through Matrix — and
+// renders one table row per (scale, mode). Every cell is seeded from the
+// spec seed and its matrix coordinates, so the table is byte-identical at
+// any worker count and across runs: a scenario file plus a seed IS the
+// experiment. Each completed cell's full harness.Result is handed to obs
+// (nil = none) before being folded into the table; obs is called
+// concurrently from worker goroutines and must be safe for concurrent use,
+// and an error from obs fails the sweep. Observation never perturbs the
+// simulation. Canceling ctx stops the sweep with an error wrapping
+// harness.ErrCanceled.
 func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs func(Cell, *harness.Result) error) (*stats.Table, error) {
-	if _, err := s.Cluster.Config(); err != nil {
-		return nil, err
-	}
-	cells := s.Cells()
-	results, err := runner.MapCtx(ctx, workers, cells, func(c Cell) (cellResult, error) {
-		res, err := s.RunCell(ctx, c, ins)
-		if err != nil {
-			return cellResult{}, err
-		}
+	sums, err := Matrix(ctx, s, workers, ins, func(c Cell, res *harness.Result) (Summary, error) {
 		if obs != nil {
 			if err := obs(c, res); err != nil {
-				return cellResult{}, err
+				return Summary{}, err
 			}
 		}
-		cr := cellResult{
-			exec:   res.ExecTime.Seconds(),
-			epochs: float64(res.Epochs),
-			fails:  failure.Sum(res.Failures),
-		}
-		if res.Jobs != nil {
-			cr.jobCount = len(res.Jobs.Jobs)
-			cr.util = res.Jobs.Utilization
-			cr.meanWait = res.Jobs.MeanWait.Seconds()
-			cr.maxWait = res.Jobs.MaxWait.Seconds()
-		}
-		return cr, nil
+		return Summarize(c, res), nil
 	})
 	if err != nil {
-		// A cancel observed by the pool between cells must carry the same
-		// sentinel as one landing inside a cell.
-		return nil, harness.NormalizeCancel(err)
-	}
-
-	type rowKey struct {
-		Scale int
-		Mode  string
-	}
-	byCell := map[rowKey][]cellResult{}
-	for i, c := range cells {
-		key := rowKey{Scale: c.Scale, Mode: c.Mode}
-		byCell[key] = append(byCell[key], results[i])
+		return nil, err
 	}
 
 	t := &stats.Table{Title: s.title()}
@@ -210,31 +178,32 @@ func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs
 	if s.Failures != nil {
 		t.Columns = append(t.Columns, "fails", "lost_group_s", "lost_global_s", "saved_s", "replay_KB")
 	}
-	for _, n := range s.Scales {
-		for _, mode := range s.Modes {
-			rs := byCell[rowKey{Scale: n, Mode: mode}]
+	for i, n := range s.Scales {
+		for j, mode := range s.Modes {
+			rs := Row(s, sums, i, j)
+			col := func(f func(Summary) float64) []float64 { return Collect(rs, f) }
 			var row []any
 			if s.Jobs != nil {
 				row = []any{n, mode,
-					stats.Mean(collect(rs, func(r cellResult) float64 { return float64(r.jobCount) })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.exec })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return 100 * r.util })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.meanWait })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.maxWait })),
+					stats.Mean(col(func(r Summary) float64 { return float64(r.Jobs.Count) })),
+					stats.Summarize(col(func(r Summary) float64 { return r.ExecSeconds })),
+					stats.Summarize(col(func(r Summary) float64 { return 100 * r.Jobs.Utilization })),
+					stats.Summarize(col(func(r Summary) float64 { return r.Jobs.MeanWaitSeconds })),
+					stats.Summarize(col(func(r Summary) float64 { return r.Jobs.MaxWaitSeconds })),
 				}
 			} else {
 				row = []any{n, mode,
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.exec })),
-					stats.Mean(collect(rs, func(r cellResult) float64 { return r.epochs })),
+					stats.Summarize(col(func(r Summary) float64 { return r.ExecSeconds })),
+					stats.Mean(col(func(r Summary) float64 { return float64(r.Epochs) })),
 				}
 			}
 			if s.Failures != nil {
 				row = append(row,
-					stats.Mean(collect(rs, func(r cellResult) float64 { return float64(r.fails.Failures) })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkLossGrp.Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkLossGlb.Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return r.fails.WorkSaved().Seconds() })),
-					stats.Summarize(collect(rs, func(r cellResult) float64 { return float64(r.fails.ReplayBytes) / 1024 })),
+					stats.Mean(col(func(r Summary) float64 { return float64(r.Fails().Count) })),
+					stats.Summarize(col(func(r Summary) float64 { return r.Fails().LostGroupSeconds })),
+					stats.Summarize(col(func(r Summary) float64 { return r.Fails().LostGlobalSeconds })),
+					stats.Summarize(col(func(r Summary) float64 { return r.Fails().SavedSeconds })),
+					stats.Summarize(col(func(r Summary) float64 { return float64(r.Fails().ReplayBytes) / 1024 })),
 				)
 			}
 			t.AddRow(row...)
@@ -257,6 +226,50 @@ func (s *Spec) RunObserved(ctx context.Context, workers int, ins Instrument, obs
 	return t, nil
 }
 
+// Matrix is the one run-matrix engine: it runs every cell of the spec under
+// ins, fanned across workers (≤ 0 = all cores), and returns stage's value
+// for each cell in matrix order. stage runs on the cell's worker right after
+// the cell, with its full Result; it may run further simulations seeded
+// from the cell (a restart, a dependent run). Every value is determined by
+// the spec and the cell, so the slice is identical at any worker count.
+// Canceling ctx stops the sweep with an error wrapping harness.ErrCanceled.
+func Matrix[T any](ctx context.Context, s *Spec, workers int, ins Instrument, stage func(Cell, *harness.Result) (T, error)) ([]T, error) {
+	if _, err := s.Cluster.Config(); err != nil {
+		return nil, err
+	}
+	vals, err := runner.MapCtx(ctx, workers, s.Cells(), func(c Cell) (T, error) {
+		res, err := s.RunCell(ctx, c, ins)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return stage(c, res)
+	})
+	// A cancel observed by the pool between cells must carry the same
+	// sentinel as one landing inside a cell.
+	if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
+		!errors.Is(err, harness.ErrCanceled) {
+		err = fmt.Errorf("harness: %w: %v", harness.ErrCanceled, err)
+	}
+	return vals, err
+}
+
+// Row returns the repetitions of one table row — the i-th scale and j-th
+// mode — from a slice in the spec's matrix order, such as Matrix returns.
+func Row[T any](s *Spec, vals []T, i, j int) []T {
+	k := (i*len(s.Modes) + j) * s.Reps
+	return vals[k : k+s.Reps]
+}
+
+// Collect applies f to every value, for folding a row into one column.
+func Collect[T any](vals []T, f func(T) float64) []float64 {
+	out := make([]float64, len(vals))
+	for i, v := range vals {
+		out[i] = f(v)
+	}
+	return out
+}
+
 func (s *Spec) title() string {
 	if s.Jobs != nil {
 		return fmt.Sprintf("Scenario %s: %d-job stream on %s, modes %s",
@@ -264,14 +277,6 @@ func (s *Spec) title() string {
 	}
 	return fmt.Sprintf("Scenario %s: %s on %s, modes %s",
 		s.Name, s.Workload.Kind, s.Cluster.Profile, strings.Join(s.Modes, "/"))
-}
-
-func collect(rs []cellResult, f func(cellResult) float64) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = f(r)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -20,18 +20,18 @@ const fastSpec = `{
 }`
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := parse(t, fastSpec).Run(context.Background(), 1)
+	serial, err := parse(t, fastSpec).RunObserved(context.Background(), 1, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := parse(t, fastSpec).Run(context.Background(), 4)
+	parallel, err := parse(t, fastSpec).RunObserved(context.Background(), 4, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
 		t.Errorf("worker count changed the table:\n%s\nvs\n%s", serial, parallel)
 	}
-	again, err := parse(t, fastSpec).Run(context.Background(), 4)
+	again, err := parse(t, fastSpec).RunObserved(context.Background(), 4, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunFailureColumnsAndRows(t *testing.T) {
-	tb, err := parse(t, fastSpec).Run(context.Background(), 0)
+	tb, err := parse(t, fastSpec).RunObserved(context.Background(), 0, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRunWithoutFailuresOmitsFailureColumns(t *testing.T) {
 		"checkpoint": {"intervalS": 2},
 		"reps": 1
 	}`
-	tb, err := parse(t, src).Run(context.Background(), 0)
+	tb, err := parse(t, src).RunObserved(context.Background(), 0, Instrument{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

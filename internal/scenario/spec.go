@@ -1,11 +1,11 @@
 // Package scenario turns the harness into a declarative experiment engine:
 // a JSON spec composes a cluster calibration × a workload × group policies ×
 // a checkpoint schedule × a stochastic failure process into a runnable
-// sweep. The hard-coded figure reproductions in internal/harness replay the
-// paper's 2002 testbed; scenarios open the same machinery to arbitrary
-// configurations — modern hardware, 4096-rank scales, multi-failure
-// lifetimes — while keeping the determinism guarantee: a spec plus a seed
-// fully determines every table cell, at any worker count.
+// sweep, and Matrix is the one engine every sweep runs on. The paper's
+// figures (internal/paper) are scenarios on its 2002 testbed; the same specs
+// reach arbitrary configurations — modern hardware, 4096-rank scales,
+// multi-failure lifetimes — while keeping the determinism guarantee: a spec
+// plus a seed fully determines every table cell, at any worker count.
 package scenario
 
 import (
@@ -147,6 +147,8 @@ type WorkloadSpec struct {
 	NA int `json:"na,omitempty"`
 	// cg / sp iteration count override
 	NIter int `json:"niter,omitempty"`
+	// cg inner iterations per superstep (0 keeps the skeleton's 5)
+	InnerBatch int `json:"innerBatch,omitempty"`
 }
 
 // workloadKinds maps each kind to its per-scale constraint.
@@ -203,6 +205,9 @@ func (w WorkloadSpec) Build(n int) workload.Workload {
 		}
 		if w.NIter > 0 {
 			wl.NIter = w.NIter
+		}
+		if w.InnerBatch > 0 {
+			wl.InnerBatch = w.InnerBatch
 		}
 		return wl
 	case "sp":

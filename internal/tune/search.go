@@ -28,23 +28,12 @@ type Eval struct {
 	Rung      int
 }
 
-// CellMeasure is one cell's raw figures, in the spec's matrix order.
-type CellMeasure struct {
-	// ExecS is the cell's execution time (cluster makespan for job
-	// streams), seconds.
-	ExecS float64
-	// LostGroupS and LostGlobalS are the failure work-loss split,
-	// rank-seconds; zero when no failure process is armed.
-	LostGroupS  float64
-	LostGlobalS float64
-}
-
-// Runner executes one Eval and returns its cells' measures in matrix
+// Runner executes one Eval and returns its cells' summaries in matrix
 // order. An error wrapping harness.ErrHorizon marks the candidate
 // infeasible at that rung (it is eliminated, memoized like any result, and
 // the search continues); any other error aborts the search. Runners are
 // called concurrently and must be safe for concurrent use.
-type Runner func(ctx context.Context, ev Eval) ([]CellMeasure, error)
+type Runner func(ctx context.Context, ev Eval) ([]scenario.Summary, error)
 
 // Options configures a Search beyond the spec.
 type Options struct {
@@ -77,7 +66,7 @@ func (s score) feasible() bool { return !math.IsInf(s.val, 1) }
 // the baseline) are free and, more importantly, *counted* the same at every
 // worker count.
 type memoEntry struct {
-	cells      []CellMeasure
+	cells      []scenario.Summary
 	infeasible bool
 }
 
@@ -304,15 +293,15 @@ func (s *searcher) scoreOf(c Candidate, r Rung, e memoEntry) float64 {
 	}
 	var sum float64
 	for _, m := range e.cells {
-		lost := m.LostGroupS
+		lost := m.Fails().LostGroupSeconds
 		if c.Mode == string(harness.NORM) {
-			lost = m.LostGlobalS
+			lost = m.Fails().LostGlobalSeconds
 		}
 		switch s.spec.Objective {
 		case "lost":
 			sum += lost
 		default:
-			sum += m.ExecS + lost/float64(r.Scale)
+			sum += m.ExecSeconds + lost/float64(r.Scale)
 		}
 	}
 	return sum / float64(len(e.cells))

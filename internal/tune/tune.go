@@ -14,10 +14,10 @@
 //
 // The package deliberately does not execute simulations itself: callers
 // supply a Runner that maps one Eval (a derived single-candidate scenario
-// spec plus horizon) to its per-cell measures. The gb facade backs the
-// Runner with gb.RunCell; the gbd service backs it with its shared worker
-// pool and determinism cache. That inversion keeps the dependency arrow
-// pointing one way (gb re-exports tune types) — the same pattern
+// spec plus horizon) to its per-cell summaries. The gb facade backs the
+// Runner with scenario.Matrix; the gbd service backs it with its shared
+// worker pool and determinism cache. That inversion keeps the dependency
+// arrow pointing one way (gb re-exports tune types) — the same pattern
 // internal/jobs uses for the harness.
 //
 // Determinism: candidate enumeration, rung scheduling, memoization
@@ -187,6 +187,10 @@ func (ts *Spec) Normalize() error {
 	return nil
 }
 
+// maxIntervalCount bounds the seeded interval grid: 64 points of ratio 2
+// already span 2^63.
+const maxIntervalCount = 64
+
 // seedIntervals builds the default checkpoint-interval axis: IntervalCount
 // geometric points (ratio 2) centered on Young's interval for the final
 // rung's scale, rounded to three significant digits, with the base
@@ -198,6 +202,9 @@ func (ts *Spec) seedIntervals() ([]float64, error) {
 	}
 	if len(ts.Rungs) == 0 {
 		return nil, badSpec("rungs must list at least one rung")
+	}
+	if ts.IntervalCount < 1 || ts.IntervalCount > maxIntervalCount {
+		return nil, badSpec("intervalCount %d, need 1..%d", ts.IntervalCount, maxIntervalCount)
 	}
 	young, _, err := ts.analyticSeed()
 	if err != nil {
@@ -440,22 +447,27 @@ func (ts *Spec) baseline() (Candidate, bool) {
 // PlannedCells returns an upper bound on the simulation cells a Search of
 // this (normalized, validated) spec may run, memoization aside: the halving
 // ladder plus the baseline evaluation and the sensitivity sweep at the
-// final rung. Services use it to reject oversized searches up front.
+// final rung. The count saturates at math.MaxInt instead of overflowing, so
+// services can reject oversized searches up front whatever the rung reps:
+// it is summed in float64, exact for any plan small enough to accept.
 func (ts *Spec) PlannedCells() int {
 	n := len(ts.Candidates())
-	total := 0
+	total := 0.0
 	for _, r := range ts.Rungs {
-		total += n * r.Reps
+		total += float64(n) * float64(r.Reps)
 		n = survivorCount(n, ts.Eta)
 	}
-	final := ts.Rungs[len(ts.Rungs)-1]
-	total += final.Reps // baseline
+	final := float64(ts.Rungs[len(ts.Rungs)-1].Reps)
+	total += final // baseline
 	for _, dim := range []int{len(ts.Modes), len(ts.GroupMax), len(ts.IntervalsS), len(ts.Storage)} {
 		if dim > 1 {
-			total += dim * final.Reps
+			total += float64(dim) * final
 		}
 	}
-	return total
+	if total >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(total)
 }
 
 // survivorCount is the halving rule: ⌈n/eta⌉, never below 1.

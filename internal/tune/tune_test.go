@@ -47,7 +47,7 @@ func surfaceSpec() *Spec {
 // grows — the successive-halving shape: cheap rungs are noisy, the final
 // rung resolves the true optimum.
 func surfaceRunner(t *testing.T) Runner {
-	return func(_ context.Context, ev Eval) ([]CellMeasure, error) {
+	return func(_ context.Context, ev Eval) ([]scenario.Summary, error) {
 		sp := ev.Spec
 		if len(sp.Scales) != 1 || len(sp.Modes) != 1 {
 			t.Errorf("eval spec not single-candidate: scales %v modes %v", sp.Scales, sp.Modes)
@@ -62,10 +62,11 @@ func surfaceRunner(t *testing.T) Runner {
 		if sp.RemoteServers > 0 {
 			v += 1.5
 		}
-		cells := make([]CellMeasure, sp.Reps)
+		cells := make([]scenario.Summary, sp.Reps)
 		for i := range cells {
 			n := noise(sp, i) * 4 / float64(sp.Scales[0])
-			cells[i] = CellMeasure{ExecS: 30, LostGroupS: v + n, LostGlobalS: v + n}
+			cells[i] = scenario.Summary{ExecSeconds: 30,
+				Failures: &scenario.FailureSummary{LostGroupSeconds: v + n, LostGlobalSeconds: v + n}}
 		}
 		return cells, nil
 	}
@@ -161,7 +162,7 @@ func TestSearchSeedChangesNoise(t *testing.T) {
 // search.
 func TestSearchInfeasibleCandidates(t *testing.T) {
 	base := surfaceRunner(t)
-	run := func(ctx context.Context, ev Eval) ([]CellMeasure, error) {
+	run := func(ctx context.Context, ev Eval) ([]scenario.Summary, error) {
 		if ev.Spec.RemoteServers > 0 {
 			return nil, fmt.Errorf("fake: %w", harness.ErrHorizon)
 		}
@@ -182,7 +183,7 @@ func TestSearchInfeasibleCandidates(t *testing.T) {
 // TestSearchAllInfeasible: every candidate tripping the horizon is an
 // ErrHorizon error, not a meaningless recommendation.
 func TestSearchAllInfeasible(t *testing.T) {
-	run := func(context.Context, Eval) ([]CellMeasure, error) {
+	run := func(context.Context, Eval) ([]scenario.Summary, error) {
 		return nil, fmt.Errorf("fake: %w", harness.ErrHorizon)
 	}
 	_, err := Search(context.Background(), surfaceSpec(), Options{Run: run})
@@ -195,7 +196,7 @@ func TestSearchAllInfeasible(t *testing.T) {
 // and surfaces verbatim.
 func TestSearchRunnerErrorAborts(t *testing.T) {
 	boom := errors.New("disk on fire")
-	run := func(context.Context, Eval) ([]CellMeasure, error) { return nil, boom }
+	run := func(context.Context, Eval) ([]scenario.Summary, error) { return nil, boom }
 	_, err := Search(context.Background(), surfaceSpec(), Options{Run: run})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped runner error", err)

@@ -58,8 +58,12 @@ func (c *CG) layout() {
 	c.rows = c.NProcs / c.cols
 }
 
-// Name implements Workload.
+// Name implements Workload. An InnerBatch other than CGClassC's 5 shows as
+// b=N, so runs at different batches never share a tracing pass.
 func (c *CG) Name() string {
+	if c.InnerBatch != 5 {
+		return fmt.Sprintf("CG(na=%d,it=%d,b=%d,%dx%d)", c.NA, c.NIter, c.InnerBatch, c.rows, c.cols)
+	}
 	return fmt.Sprintf("CG(na=%d,it=%d,%dx%d)", c.NA, c.NIter, c.rows, c.cols)
 }
 

@@ -5,7 +5,7 @@ GO ?= go
 SHORT_SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
 COMMIT_WHEN := $(shell git show -s --format=%cI HEAD 2>/dev/null || echo "")
 
-.PHONY: build test race parallel-race bench bench-test bench-digests bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
+.PHONY: build test race headline-claims parallel-race bench bench-test bench-digests bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The paper's headline claims as executable assertions (TestHeadlineClaims,
+# ~22 s on a 2-core VM): each row of EXPERIMENTS.md's headline table, checked
+# at the mean over reps or the sum over the sweep. The test is build-tagged
+# !race, so `make race` skips it; this target runs it without the detector.
+headline-claims:
+	$(GO) test -run '^TestHeadlineClaims$$' ./internal/harness
 
 # The partitioned kernel's dedicated race exercise: a multi-group 4096-rank
 # cell with its event loop spread across 8 worker threads, under the race
@@ -158,4 +165,4 @@ lint:
 		exit 1; \
 	fi
 
-ci: lint build race bench bench-test bench-digests smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke
+ci: lint build race headline-claims bench bench-test bench-digests smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke

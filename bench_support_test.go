@@ -18,7 +18,7 @@ func benchFlushRun(k *sim.Kernel, c *cluster.Cluster, wl workload.Workload, rate
 	cfg := core.DefaultConfig(group.Singletons(n), wl.ImageBytes)
 	cfg.BgFlushRate = rate
 	e := core.NewEngine(w, cfg)
-	e.ScheduleAt(5*sim.Second, nil)
+	e.ScheduleAt(5 * sim.Second)
 	w.Launch(wl.Body)
 	if err := k.Run(); err != nil {
 		return 0, err

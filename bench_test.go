@@ -304,8 +304,11 @@ func BenchmarkAblationNetworkSpeed(b *testing.B) {
 				}
 				var logged int64
 				for _, ls := range gp.Logs {
-					lb, _ := ls.TotalLogged()
-					logged += lb
+					for dst := range gp.Logs {
+						if l := ls.Get(dst); l != nil {
+							logged += l.Total
+						}
+					}
 				}
 				b.ReportMetric(float64(logged)/1e6/gp.ExecTime.Seconds(), "log_MB_per_s")
 			}

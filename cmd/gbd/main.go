@@ -36,6 +36,13 @@ import (
 	"repro/gb/gbd"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. Unset, net/http waits forever, so a client that never finishes
+// its headers would hold a connection and a goroutine for the life of the
+// process. There is no write timeout: sweeps and tunes stream over SSE for
+// as long as their cells take.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (daemon mode); port 0 picks a free port")
@@ -76,7 +83,7 @@ func serve(addr, addrFile string, drain time.Duration, opts gbd.Options) error {
 			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: s}
+	httpSrv := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	log.Printf("gbd: serving v1 API on http://%s", ln.Addr())
 
 	errc := make(chan error, 1)

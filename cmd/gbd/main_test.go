@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -43,7 +46,8 @@ func TestUnknownFlagExitsNonZero(t *testing.T) {
 
 // TestDaemonLifecycle drives the binary end to end: serve on a free port
 // and publish the bound address, answer the client mode's SSE sweep with
-// the golden cells, then drain on SIGTERM and exit 0.
+// the golden cells, drop a client whose request headers stall, then drain
+// on SIGTERM and exit 0.
 func TestDaemonLifecycle(t *testing.T) {
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	daemon := command("-addr", "127.0.0.1:0", "-addr-file", addrFile, "-workers", "2")
@@ -76,6 +80,10 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
 	}
 
+	// The stalled client waits out readHeaderTimeout while the sweep runs.
+	stalled := make(chan error, 1)
+	go func() { stalled <- stallHeaders(strings.TrimPrefix(url, "http://")) }()
+
 	cells, err := command("-post", "../../examples/scenarios/modern-weibull.json", "-url", url).Output()
 	if err != nil {
 		t.Fatalf("-post failed: %v; daemon log:\n%s", err, logs.String())
@@ -86,6 +94,9 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !bytes.Equal(cells, golden) {
 		t.Errorf("-post cells differ from the golden:\n--- got ---\n%s--- want ---\n%s", cells, golden)
+	}
+	if err := <-stalled; err != nil {
+		t.Error(err)
 	}
 
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
@@ -103,4 +114,32 @@ func TestDaemonLifecycle(t *testing.T) {
 	if !strings.Contains(logs.String(), "drained") {
 		t.Errorf("no drain confirmation in the daemon log:\n%s", logs.String())
 	}
+}
+
+// stallHeaders connects to the daemon at addr, sends half a request line and
+// no more, and reports an error unless the daemon closes the connection once
+// readHeaderTimeout has passed (allowing a few seconds of slack). net/http
+// may answer 400 Bad Request as it hangs up; only the close matters here.
+func stallHeaders(addr string) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		return err
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		return err
+	}
+	_, err = io.ReadAll(conn) // returns at the daemon's close or our deadline
+	elapsed := time.Since(start)
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return fmt.Errorf("daemon still held a connection with stalled headers after %v", elapsed)
+	case elapsed < readHeaderTimeout-time.Second:
+		return fmt.Errorf("daemon dropped the stalled connection after %v, before its %v header timeout (err=%v)", elapsed, readHeaderTimeout, err)
+	}
+	return nil
 }

@@ -60,7 +60,12 @@ func ExampleMetricsObserver() {
 	m := res.Metrics // immutable snapshot, sorted by name
 	sends, _ := m.Counter("mpi_sends_total")
 	ckpts, _ := m.Counter("ckpt_completed_total")
-	dur, _ := m.Histogram("ckpt_duration_seconds")
+	var dur gb.HistogramValue
+	for _, h := range m.Histograms {
+		if h.Name == "ckpt_duration_seconds" {
+			dur = h
+		}
+	}
 	fmt.Printf("sends:       %d\n", sends)
 	fmt.Printf("checkpoints: %d (p50 %.3fs)\n", ckpts, dur.P50)
 

@@ -30,7 +30,13 @@ func TestVCLCheckpointMetrics(t *testing.T) {
 	if img, _ := res.Metrics.Counter("ckpt_image_bytes_total"); img == 0 {
 		t.Error("ckpt_image_bytes_total stayed zero under VCL")
 	}
-	dur, ok := res.Metrics.Histogram("ckpt_duration_seconds")
+	var dur gb.HistogramValue
+	ok = false
+	for _, h := range res.Metrics.Histograms {
+		if h.Name == "ckpt_duration_seconds" {
+			dur, ok = h, true
+		}
+	}
 	if !ok || dur.Count != int64(len(res.Records)) || dur.Sum <= 0 {
 		t.Errorf("ckpt_duration_seconds = %+v (present=%v), want %d observations", dur, ok, len(res.Records))
 	}

@@ -37,15 +37,6 @@ func (s Stage) String() string {
 // Breakdown holds per-stage durations.
 type Breakdown [numStages]sim.Time
 
-// Total returns the sum over stages.
-func (b Breakdown) Total() sim.Time {
-	var t sim.Time
-	for _, d := range b {
-		t += d
-	}
-	return t
-}
-
 // Add returns the element-wise sum of two breakdowns.
 func (b Breakdown) Add(o Breakdown) Breakdown {
 	var out Breakdown
@@ -92,20 +83,6 @@ type Snapshot struct {
 	ImageBytes int64
 	SentTo     map[int]int64 // S_X at the checkpoint, per peer
 	RecvdFrom  map[int]int64 // R_X at the checkpoint, per peer (the RR_X record)
-}
-
-// Clone deep-copies the snapshot.
-func (s Snapshot) Clone() Snapshot {
-	c := s
-	c.SentTo = make(map[int]int64, len(s.SentTo))
-	for k, v := range s.SentTo {
-		c.SentTo[k] = v
-	}
-	c.RecvdFrom = make(map[int]int64, len(s.RecvdFrom))
-	for k, v := range s.RecvdFrom {
-		c.RecvdFrom[k] = v
-	}
-	return c
 }
 
 // AggregateCheckpointTime sums per-rank checkpoint durations — the paper's

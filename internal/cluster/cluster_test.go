@@ -309,8 +309,12 @@ func TestAsyncRemoteBackgroundDrainConsumesServer(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Servers[0].Disk.BytesServed(); got != 10_000_000 {
-		t.Errorf("background drain served %d bytes, want all 10MB", got)
+	// A zero-byte booking completes when the resource frees up. The disk
+	// frees 1 s (10 MB at 10 MB/s) after the server NIC delivered the
+	// drain only if it wrote all 10 MB.
+	srv := rs.Servers[0]
+	if got := srv.Disk.ReserveAt(0, 0) - srv.NIC.ReserveAt(0, 0); got != sim.Second {
+		t.Errorf("background drain kept the server disk busy %v past delivery, want 1s (all 10MB)", got)
 	}
 }
 

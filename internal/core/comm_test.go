@@ -33,7 +33,7 @@ func TestCommMatrixUnderEngine(t *testing.T) {
 	wl := workload.NewSynthetic(n, 40)
 	k, w, m := commWorld(n)
 	e := NewEngine(w, DefaultConfig(group.Fixed(n, 2), wl.ImageBytes))
-	e.ScheduleAt(sim.Second, nil)
+	e.ScheduleAt(sim.Second)
 	w.Launch(wl.Body)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -51,12 +51,21 @@ func TestCommMatrixUnderEngine(t *testing.T) {
 		t.Errorf("matrix bytes = %d, transport counters say %d (ctrl traffic must be excluded)",
 			m.TotalBytes(), sent)
 	}
-	if m.Sends() == 0 || m.NumPairs() == 0 {
-		t.Fatalf("matrix empty: %d sends, %d pairs", m.Sends(), m.NumPairs())
+	pairs := m.Pairs()
+	if m.Sends() == 0 || len(pairs) == 0 {
+		t.Fatalf("matrix empty: %d sends, %d pairs", m.Sends(), len(pairs))
 	}
 	// The synthetic ring must dominate: every neighbour pair present.
+	ringBytes := map[[2]int]int64{}
+	for _, p := range pairs {
+		ringBytes[[2]int{p.A, p.B}] = p.Bytes
+	}
 	for i := 0; i < n; i++ {
-		if m.PairBytes(i, (i+1)%n) == 0 {
+		a, b := i, (i+1)%n
+		if a > b {
+			a, b = b, a
+		}
+		if ringBytes[[2]int{a, b}] == 0 {
 			t.Errorf("ring pair (%d,%d) missing from matrix", i, (i+1)%n)
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -16,14 +14,12 @@ import (
 // network, so request propagation to n ranks costs n serialized control
 // messages from the head NIC.
 
-// ScheduleAt triggers one checkpoint of the given groups (nil = all groups)
-// at virtual time t. Must be called before the kernel runs.
-func (e *Engine) ScheduleAt(t sim.Time, groups []int) {
+// ScheduleAt triggers one checkpoint of all groups at virtual time t. Must
+// be called before the kernel runs.
+func (e *Engine) ScheduleAt(t sim.Time) {
 	cp := e.part(0) // the controller lives with the head rank's partition
 	e.w.K.PartAt(cp, t, func() {
-		e.w.K.SpawnDaemonIn(cp, "mpirun", func(p *sim.Proc) {
-			e.runEpoch(p, groups)
-		})
+		e.w.K.SpawnDaemonIn(cp, "mpirun", e.runEpoch)
 	})
 }
 
@@ -41,7 +37,7 @@ func (e *Engine) SchedulePeriodic(start, interval sim.Time, maxCount int) {
 				if e.appFinished() {
 					return
 				}
-				e.runEpoch(p, nil)
+				e.runEpoch(p)
 				next += interval
 				if now := p.Now(); next < now {
 					next = now
@@ -57,68 +53,31 @@ func (e *Engine) SchedulePeriodic(start, interval sim.Time, maxCount int) {
 func (e *Engine) appFinished() bool { return e.w.AllFinishedView() }
 
 // runEpoch performs one complete checkpoint epoch from the controller's
-// perspective: propagate requests to every member of the target groups,
-// then wait for every done reply.
-func (e *Engine) runEpoch(p *sim.Proc, groups []int) {
-	// Epoch ids are assigned at issue time so concurrent per-group
-	// schedules stay distinct (epoch-scoped control tags).
+// perspective: propagate requests to every member of every group, then wait
+// for every done reply.
+func (e *Engine) runEpoch(p *sim.Proc) {
+	// Epoch ids are assigned at issue time so epochs in flight together
+	// (a one-off checkpoint beside a periodic schedule) stay distinct
+	// (epoch-scoped control tags).
 	epoch := e.epochSeq
 	e.epochSeq++
 	head := e.w.Ranks[0]
 	from := p.Now()
 
-	targets := groups
-	if targets == nil {
-		targets = make([]int, len(e.cfg.Formation.Groups))
-		for i := range targets {
-			targets[i] = i
-		}
-	}
-	var members []int
-	for _, g := range targets {
-		members = append(members, e.cfg.Formation.Groups[g]...)
-	}
 	// mpirun spawns one child per group to propagate the request; the
 	// timing-relevant cost is the serialized request sends from the head
-	// node and the done replies.
-	for _, m := range members {
-		head.CtrlSend(p, m, tagCkptReq, reqBytes, epoch)
+	// node and the done replies. The formation covers every rank once
+	// (NewEngine validates it), so one reply comes back per rank.
+	for _, g := range e.cfg.Formation.Groups {
+		for _, m := range g {
+			head.CtrlSend(p, m, tagCkptReq, reqBytes, epoch)
+		}
 	}
-	for range members {
+	for range e.w.N {
 		head.CtrlRecv(p, mpi.AnySource, tagCkptDoneBase+epoch)
 	}
 	// mpirun checkpoints itself here (not timed; it does not affect the
 	// application's normal execution).
 	e.epochs++
 	e.epochSpans = append(e.epochSpans, Span{From: from, To: p.Now()})
-}
-
-// SchedulePeriodicGroup checkpoints a single group on its own period — the
-// paper's flexibility argument: "group processor nodes that fail more
-// frequently, and select a shorter checkpoint interval". Several groups may
-// run on different periods concurrently; epochs stay globally unique.
-func (e *Engine) SchedulePeriodicGroup(g int, start, interval sim.Time, maxCount int) {
-	if g < 0 || g >= len(e.cfg.Formation.Groups) {
-		panic("core: SchedulePeriodicGroup: no such group")
-	}
-	cp := e.part(0)
-	e.w.K.PartAt(cp, 0, func() {
-		e.w.K.SpawnDaemonIn(cp, fmt.Sprintf("mpirun-g%d", g), func(p *sim.Proc) {
-			next := start
-			if next == 0 {
-				next = interval
-			}
-			for i := 0; maxCount == 0 || i < maxCount; i++ {
-				p.HoldUntil(next)
-				if e.appFinished() {
-					return
-				}
-				e.runEpoch(p, []int{g})
-				next += interval
-				if now := p.Now(); next < now {
-					next = now
-				}
-			}
-		})
-	})
 }

@@ -8,76 +8,24 @@ import (
 	"repro/internal/workload"
 )
 
-func TestSchedulePeriodicGroupIndependentIntervals(t *testing.T) {
-	// Group 0 checkpoints every 2s, group 1 every 4s: group 0 must
-	// complete roughly twice as many checkpoints.
-	const n = 8
-	k, w := buildWorld(1, n)
-	wl := workload.NewSynthetic(n, 300) // ~15s of work
-	f := group.Fixed(n, 2)
-	e := NewEngine(w, DefaultConfig(f, wl.ImageBytes))
-	e.SchedulePeriodicGroup(0, 2*sim.Second, 2*sim.Second, 0)
-	e.SchedulePeriodicGroup(1, 4*sim.Second, 4*sim.Second, 0)
-	w.Launch(wl.Body)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{} // group → rank-checkpoints
-	for _, r := range e.Records() {
-		counts[f.GroupOf(r.Rank)]++
-	}
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("missing checkpoints per group: %v", counts)
-	}
-	ratio := float64(counts[0]) / float64(counts[1])
-	if ratio < 1.5 || ratio > 3 {
-		t.Errorf("checkpoint ratio group0/group1 = %v, want ≈2 (counts %v)", ratio, counts)
-	}
-	// Snapshots of both groups exist and epochs are unique per request.
-	seen := map[int]map[int]bool{}
-	for _, r := range e.Records() {
-		g := f.GroupOf(r.Rank)
-		if seen[r.Epoch] == nil {
-			seen[r.Epoch] = map[int]bool{}
-		}
-		seen[r.Epoch][g] = true
-	}
-	for epoch, gs := range seen {
-		if len(gs) != 1 {
-			t.Errorf("epoch %d spans multiple groups %v (ids must be per-request)", epoch, gs)
-		}
-	}
-}
-
-func TestSchedulePeriodicGroupConcurrentEpochsDoNotCrossMatch(t *testing.T) {
-	// Two groups on the same period checkpoint concurrently; the runs
-	// must not deadlock or lose done replies.
+func TestConcurrentEpochsDoNotCrossMatch(t *testing.T) {
+	// A one-off checkpoint and a periodic schedule starting at the same
+	// instant (a spec setting both atS and intervalS) put two epochs in
+	// flight at once; the runs must not deadlock or lose done replies.
 	const n = 8
 	k, w := buildWorld(3, n)
 	wl := workload.NewSynthetic(n, 240)
 	f := group.Fixed(n, 2)
 	e := NewEngine(w, DefaultConfig(f, wl.ImageBytes))
-	e.SchedulePeriodicGroup(0, 2*sim.Second, 3*sim.Second, 3)
-	e.SchedulePeriodicGroup(1, 2*sim.Second, 3*sim.Second, 3)
+	e.ScheduleAt(2 * sim.Second)
+	e.SchedulePeriodic(2*sim.Second, 3*sim.Second, 3)
 	w.Launch(wl.Body)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Epochs() != 6 {
-		t.Errorf("epochs = %d, want 6 (3 per group)", e.Epochs())
+	if e.Epochs() != 4 {
+		t.Errorf("epochs = %d, want 4 (1 one-off + 3 periodic)", e.Epochs())
 	}
-}
-
-func TestSchedulePeriodicGroupBadIndexPanics(t *testing.T) {
-	k, w := buildWorld(1, 4)
-	_ = k
-	e := NewEngine(w, DefaultConfig(group.Fixed(4, 2), nil))
-	defer func() {
-		if recover() == nil {
-			t.Error("bad group index did not panic")
-		}
-	}()
-	e.SchedulePeriodicGroup(9, sim.Second, sim.Second, 1)
 }
 
 func TestScheduleAtStopsWhenAppFinished(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/group"
-	"repro/internal/image"
 	"repro/internal/mlog"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -78,11 +77,6 @@ type Config struct {
 	// written to disk asynchronously during execution and only the tail
 	// is synced at checkpoint time.
 	BgFlushRate float64
-	// Archive, when non-nil, receives a functional serialized image
-	// (snapshot + flushed log entries, checksummed) at every checkpoint —
-	// the durable counterpart of the timing model's image write. Restart
-	// verification reads decisions back from the archive.
-	Archive *image.Store
 	// SignalJitter is the maximum random delay between the checkpoint
 	// request reaching a node and the rank actually freezing (daemon
 	// scheduling, signal delivery, in-progress system calls). The skew it
@@ -111,8 +105,7 @@ type Config struct {
 	// and routes per-rank randomness and record/cut reporting through
 	// partition-safe paths: OnCut/OnRecord fire at round barriers, in a
 	// deterministic order, instead of mid-window. Nil is the classic
-	// serial engine. Partitioned engines do not support Archive (the
-	// image store is a single shared structure).
+	// serial engine.
 	Partitions []int
 }
 
@@ -206,9 +199,6 @@ func NewEngine(w *mpi.World, cfg Config) *Engine {
 		}
 	}
 	if e.nparts > 1 {
-		if cfg.Archive != nil {
-			panic("core: Archive is not supported on a partitioned engine")
-		}
 		e.pendRecs = make([][]ckpt.Record, e.nparts)
 		e.pendCuts = make([][]Cut, e.nparts)
 		w.K.OnBarrier(e.flushPending)
@@ -264,9 +254,6 @@ func (e *Engine) Epochs() int { return e.epochs }
 // EpochSpans returns the controller-observed checkpoint spans.
 func (e *Engine) EpochSpans() []Span { return e.epochSpans }
 
-// Formation returns the installed group formation.
-func (e *Engine) Formation() group.Formation { return e.cfg.Formation }
-
 // Snapshots returns the latest snapshot per rank (nil entries for ranks that
 // never checkpointed).
 func (e *Engine) Snapshots() []*ckpt.Snapshot {
@@ -296,18 +283,6 @@ func (e *Engine) LogSets() []*mlog.Set {
 		out[i] = st.logs
 	}
 	return out
-}
-
-// TotalLogged returns cumulative logged bytes and messages across ranks.
-func (e *Engine) TotalLogged() (int64, int) {
-	var b int64
-	var m int
-	for _, st := range e.states {
-		lb, lm := st.logs.TotalLogged()
-		b += lb
-		m += lm
-	}
-	return b, m
 }
 
 // BeforeSend implements mpi.Hooks: inter-group messages are logged (with the
@@ -462,12 +437,6 @@ func (e *Engine) checkpoint(st *rankState, p *sim.Proc, epoch, replyTo int) {
 	end := p.Now()
 
 	st.snap = snap
-	if e.cfg.Archive != nil {
-		img := image.FromEngineState(snap, st.logs, snap.ImageBytes)
-		if _, err := e.cfg.Archive.Put(img); err != nil {
-			panic(fmt.Sprintf("core: archiving image for rank %d: %v", r.ID, err))
-		}
-	}
 	rec := ckpt.Record{
 		Rank: r.ID, Epoch: epoch, Start: start, End: end,
 		Stages: ckpt.Breakdown{

@@ -1,0 +1,11 @@
+package core
+
+// ChannelLogged returns the total in-transit bytes recorded as channel
+// state across all ranks and epochs.
+func (v *VCL) ChannelLogged() int64 {
+	var b int64
+	for _, st := range v.states {
+		b += st.chanLogged
+	}
+	return b
+}

@@ -31,7 +31,7 @@ func BenchmarkCheckpointRound(b *testing.B) {
 		cfg := DefaultConfig(f, wl.ImageBytes)
 		cfg.Partitions = partOf
 		e := NewEngine(w, cfg)
-		e.ScheduleAt(5*sim.Millisecond, nil)
+		e.ScheduleAt(5 * sim.Millisecond)
 		w.Launch(wl.Body)
 		b.StartTimer()
 

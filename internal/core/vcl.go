@@ -102,16 +102,6 @@ func (v *VCL) Snapshots() []*ckpt.Snapshot {
 	return out
 }
 
-// ChannelLogged returns the total in-transit bytes recorded as channel
-// state across all ranks and epochs.
-func (v *VCL) ChannelLogged() int64 {
-	var b int64
-	for _, st := range v.states {
-		b += st.chanLogged
-	}
-	return b
-}
-
 // BeforeSend implements mpi.Hooks (no sender-side work in VCL).
 func (v *VCL) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time { return 0 }
 

@@ -144,12 +144,12 @@ func TestGroupFormationEquivalenceNORMIsOneGroup(t *testing.T) {
 	w := mpi.NewWorld(k, c, 6)
 	wl := chattyWorkload(6)
 	e := NewEngine(w, DefaultConfig(group.Global(6), wl.ImageBytes))
-	e.ScheduleAt(2*sim.Second, nil)
+	e.ScheduleAt(2 * sim.Second)
 	w.Launch(wl.Body)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := e.TotalLogged(); b != 0 {
+	if b, _ := totalLogged(e.LogSets()); b != 0 {
 		t.Errorf("NORM logged %d bytes", b)
 	}
 	for _, s := range e.Snapshots() {

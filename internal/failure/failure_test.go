@@ -23,7 +23,7 @@ func runWithFailureProbe(t *testing.T, f group.Formation) (*Probe, *core.Engine)
 	wl := workload.NewSynthetic(n, 120)
 	wl.CrossEach = 2
 	e := core.NewEngine(w, core.DefaultConfig(f, wl.ImageBytes))
-	e.ScheduleAt(sim.Seconds(2), nil)
+	e.ScheduleAt(sim.Seconds(2))
 	pr := &Probe{}
 	pr.Arm(w, sim.Seconds(4))
 	w.Launch(wl.Body)
@@ -94,7 +94,14 @@ func TestReplayBoundedByLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged, _ := e.TotalLogged()
+	var logged int64
+	for _, ls := range e.LogSets() {
+		for dst := 0; dst < f.N; dst++ {
+			if l := ls.Get(dst); l != nil {
+				logged += l.Total
+			}
+		}
+	}
 	if out.ReplayBytes > logged {
 		t.Errorf("replay %d exceeds total logged %d", out.ReplayBytes, logged)
 	}

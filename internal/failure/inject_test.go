@@ -90,7 +90,7 @@ func TestInjectorFailureBeforeFirstCheckpointRestartsFromZero(t *testing.T) {
 	wl := workload.NewSynthetic(n, 80)
 	f := group.Singletons(n)
 	e := core.NewEngine(w, core.DefaultConfig(f, wl.ImageBytes))
-	e.ScheduleAt(30*sim.Second, nil) // far beyond the first failure
+	e.ScheduleAt(30 * sim.Second) // far beyond the first failure
 	inj := NewInjector(w, f, e, Poisson{MTBF: 2 * sim.Second}, 9, 1)
 	inj.Arm()
 	w.Launch(wl.Body)

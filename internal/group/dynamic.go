@@ -88,54 +88,6 @@ func (u *union) formation() Formation {
 	return normalize(n, groups)
 }
 
-// PhaseFormations splits the trace into windows equal spans of virtual time
-// and runs Algorithm 2 on each: the paper's future-work item on detecting
-// communication-pattern changes across application phases.
-func PhaseFormations(records []trace.Record, n, maxSize, windows int) []Formation {
-	if windows < 1 {
-		windows = 1
-	}
-	var t0, t1 = records[0].T, records[0].T
-	for _, r := range records {
-		if r.T < t0 {
-			t0 = r.T
-		}
-		if r.T > t1 {
-			t1 = r.T
-		}
-	}
-	span := t1 - t0 + 1
-	buckets := make([][]trace.Record, windows)
-	for _, r := range records {
-		w := int(int64(r.T-t0) * int64(windows) / int64(span))
-		buckets[w] = append(buckets[w], r)
-	}
-	out := make([]Formation, windows)
-	for i, b := range buckets {
-		out[i] = FromTrace(b, n, maxSize)
-	}
-	return out
-}
-
-// Similarity returns the fraction of rank pairs on which two formations
-// agree (same-group vs different-group) — a stability measure between
-// phase-windowed formations. Returns 1 for identical partitions.
-func Similarity(a, b Formation) float64 {
-	if a.N != b.N || a.N < 2 {
-		return 1
-	}
-	agree, total := 0, 0
-	for i := 0; i < a.N; i++ {
-		for j := i + 1; j < a.N; j++ {
-			total++
-			if a.SameGroup(i, j) == b.SameGroup(i, j) {
-				agree++
-			}
-		}
-	}
-	return float64(agree) / float64(total)
-}
-
 // Sizes returns the sorted group sizes of a formation (diagnostics).
 func (f *Formation) Sizes() []int {
 	sizes := make([]int, len(f.Groups))

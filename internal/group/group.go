@@ -6,9 +6,8 @@
 // subject to a maximum group size G (default ⌈√n⌉). The package also
 // provides the fixed formations used as baselines in the paper's evaluation
 // (NORM: one global group; GP1: singletons; GPk: k contiguous-rank groups),
-// a group-definition file format, and two extensions discussed by the paper:
-// the dynamic merge-on-message scheme from related work (Gopalan–Nagarajan)
-// and phase-windowed formation analysis.
+// a group-definition file format, and the dynamic merge-on-message scheme
+// from related work (Gopalan–Nagarajan) that the paper contrasts with.
 package group
 
 import (

@@ -254,33 +254,6 @@ func TestDynamicCollapsesConnectedGraph(t *testing.T) {
 	}
 }
 
-func TestPhaseFormationsAndSimilarity(t *testing.T) {
-	// Phase 1 (t<10s): pairs (0,1),(2,3); phase 2 (t≥10s): (1,2),(0,3).
-	var recs []trace.Record
-	for i := 0; i < 5; i++ {
-		recs = append(recs,
-			trace.Record{T: sim.Seconds(float64(i)), Src: 0, Dst: 1, Bytes: 100},
-			trace.Record{T: sim.Seconds(float64(i)), Src: 2, Dst: 3, Bytes: 100},
-			trace.Record{T: sim.Seconds(float64(10 + i)), Src: 1, Dst: 2, Bytes: 100},
-			trace.Record{T: sim.Seconds(float64(10 + i)), Src: 0, Dst: 3, Bytes: 100},
-		)
-	}
-	phases := PhaseFormations(recs, 4, 2, 2)
-	if len(phases) != 2 {
-		t.Fatalf("phases = %d", len(phases))
-	}
-	if !phases[0].SameGroup(0, 1) || !phases[1].SameGroup(1, 2) {
-		t.Errorf("phase formations wrong: %v / %v", phases[0].Groups, phases[1].Groups)
-	}
-	sim01 := Similarity(phases[0], phases[1])
-	if sim01 >= 1 {
-		t.Errorf("similarity of different phases = %v, want < 1", sim01)
-	}
-	if s := Similarity(phases[0], phases[0]); s != 1 {
-		t.Errorf("self-similarity = %v", s)
-	}
-}
-
 func TestMembersAndGroupOf(t *testing.T) {
 	f := Fixed(6, 2)
 	if f.GroupOf(0) != 0 || f.GroupOf(5) != 1 {

@@ -311,9 +311,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 	res := &Result{Spec: spec, N: n}
 
-	schedule := func(at func(sim.Time, []int), periodic func(sim.Time, sim.Time, int)) {
+	schedule := func(at func(sim.Time), periodic func(sim.Time, sim.Time, int)) {
 		if spec.Sched.At > 0 {
-			at(spec.Sched.At, nil)
+			at(spec.Sched.At)
 		}
 		if spec.Sched.Interval > 0 {
 			start := spec.Sched.Start
@@ -344,10 +344,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	case VCL:
 		v := core.NewVCL(w, store, wl.ImageBytes)
 		v.OnRecord = env.recordHook()
-		schedule(
-			func(t sim.Time, _ []int) { v.ScheduleAt(t) },
-			v.SchedulePeriodic,
-		)
+		schedule(v.ScheduleAt, v.SchedulePeriodic)
 		w.Launch(wl.Body)
 		if err := runKernel(); err != nil {
 			return nil, err

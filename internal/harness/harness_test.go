@@ -122,8 +122,8 @@ func TestTraceAttached(t *testing.T) {
 	if len(res.Trace) == 0 {
 		t.Error("trace requested but empty")
 	}
-	if len(obs.Records()) != len(res.Trace) {
-		t.Errorf("observer records %d != result trace %d", len(obs.Records()), len(res.Trace))
+	if len(obs.rec.Records) != len(res.Trace) {
+		t.Errorf("observer records %d != result trace %d", len(obs.rec.Records), len(res.Trace))
 	}
 }
 

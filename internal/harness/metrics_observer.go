@@ -32,11 +32,6 @@ func NewMetricsObserver() *MetricsObserver {
 	return &MetricsObserver{col: metrics.New()}
 }
 
-// Collector returns the live collector — every registered instrument,
-// updating while the run executes. Safe for concurrent readers
-// (Snapshot); the instruments themselves are atomics.
-func (o *MetricsObserver) Collector() *metrics.Collector { return o.col }
-
 // BeforeRun implements Observer: it arms the kernel and message-path
 // instruments and registers the checkpoint and failure hooks.
 func (o *MetricsObserver) BeforeRun(env *RunEnv) mpi.Tracer {

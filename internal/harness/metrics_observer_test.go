@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -70,7 +71,13 @@ func TestMetricsObserverAgreesWithResult(t *testing.T) {
 	if got, _ := s.Counter("ckpt_image_bytes_total"); got != wantImage {
 		t.Errorf("ckpt_image_bytes_total = %d, Records say %d", got, wantImage)
 	}
-	hv, ok := s.Histogram("ckpt_duration_seconds")
+	var hv metrics.HistogramValue
+	ok := false
+	for _, h := range s.Histograms {
+		if h.Name == "ckpt_duration_seconds" {
+			hv, ok = h, true
+		}
+	}
 	if !ok || hv.Count != int64(len(res.Records)) {
 		t.Errorf("ckpt_duration_seconds count = %d, want %d", hv.Count, len(res.Records))
 	}

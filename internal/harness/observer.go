@@ -117,10 +117,6 @@ func (o *TraceObserver) BeforeRun(*RunEnv) mpi.Tracer { return &o.rec }
 // AfterRun implements Observer.
 func (o *TraceObserver) AfterRun(res *Result) { res.Trace = o.rec.Records }
 
-// Records returns the trace after the run, for callers holding the
-// observer rather than the Result.
-func (o *TraceObserver) Records() []trace.Record { return o.rec.Records }
-
 // CommObserver attaches the streaming CommMatrix tracer to a run and
 // publishes it as Result.Comm: pairwise bytes/counts aggregated online,
 // memory bounded by communicating pairs, usable at any scale.

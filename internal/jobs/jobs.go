@@ -20,7 +20,6 @@ package jobs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/failure"
 	"repro/internal/pattern"
@@ -372,21 +371,4 @@ func (r *Result) Table() *stats.Table {
 			r.Failures, r.WorkLossGrp.Seconds(), r.WorkLossGlb.Seconds())
 	}
 	return t
-}
-
-// sortedByEnd returns job ids ordered by (End, ID) — used by tests to check
-// the departure order is well-defined.
-func (r *Result) sortedByEnd() []int {
-	ids := make([]int, len(r.Jobs))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ja, jb := r.Jobs[ids[a]], r.Jobs[ids[b]]
-		if ja.End != jb.End {
-			return ja.End < jb.End
-		}
-		return ja.ID < jb.ID
-	})
-	return ids
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -291,4 +292,21 @@ func TestBurstArrivalsClusterInWindows(t *testing.T) {
 	if in <= out {
 		t.Errorf("burst arrivals: %d in windows vs %d outside; expected clustering", in, out)
 	}
+}
+
+// sortedByEnd returns job ids ordered by (End, ID), to check the departure
+// order is well-defined.
+func (r *Result) sortedByEnd() []int {
+	ids := make([]int, len(r.Jobs))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		ja, jb := r.Jobs[ids[a]], r.Jobs[ids[b]]
+		if ja.End != jb.End {
+			return ja.End < jb.End
+		}
+		return ja.ID < jb.ID
+	})
+	return ids
 }

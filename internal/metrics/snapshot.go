@@ -39,14 +39,6 @@ type HistogramValue struct {
 	P99   float64 `json:"p99"`
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (h HistogramValue) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // Snapshot is an immutable copy of a Collector's state at one instant.
 // Instruments are sorted by name within each kind. Snapshots share no
 // memory with the collector or with each other: retaining one while the
@@ -135,16 +127,6 @@ func (s *Snapshot) Gauge(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Histogram returns the named histogram's value (zero, false if absent).
-func (s *Snapshot) Histogram(name string) (HistogramValue, bool) {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return HistogramValue{}, false
 }
 
 // Label returns name with a k="v" label pair appended, merging with an

@@ -33,24 +33,15 @@ type Entry struct {
 
 // Log is the sender-side log for one destination.
 type Log struct {
-	Dst        int
-	Entries    []Entry // entries not yet garbage-collected, ascending offset
-	Total      int64   // cumulative bytes ever logged to Dst
-	TotalMsgs  int     // cumulative messages ever logged to Dst
-	Flushed    int64   // cumulative bytes made durable (flushed before ckpts)
-	gcOffset   int64   // entries entirely below this offset are collected
-	collected  int64   // bytes garbage-collected so far
-	collectedN int     // entries garbage-collected so far
+	Dst       int
+	Entries   []Entry // entries not yet garbage-collected, ascending offset
+	Total     int64   // cumulative bytes ever logged to Dst
+	TotalMsgs int     // cumulative messages ever logged to Dst
+	gcOffset  int64   // entries entirely below this offset are collected
 }
-
-// Pending returns the bytes logged but not yet flushed to disk.
-func (l *Log) Pending() int64 { return l.Total - l.Flushed }
 
 // GCOffset returns the current garbage-collection watermark.
 func (l *Log) GCOffset() int64 { return l.gcOffset }
-
-// Collected returns the total bytes garbage-collected.
-func (l *Log) Collected() int64 { return l.collected }
 
 // append records a message of the given size and returns its entry.
 func (l *Log) append(bytes int64) Entry {
@@ -76,8 +67,6 @@ func (l *Log) gc(upto int64) int64 {
 	for _, e := range l.Entries[:i] {
 		freed += e.Bytes
 	}
-	l.collected += freed
-	l.collectedN += i
 	l.Entries = append([]Entry{}, l.Entries[i:]...)
 	return freed
 }
@@ -159,16 +148,6 @@ func (s *Set) Log(dst int, bytes int64, now sim.Time) sim.Time {
 // Get returns the log for dst, or nil if nothing was ever logged to it.
 func (s *Set) Get(dst int) *Log { return s.logs[dst] }
 
-// Dsts returns the destinations with logs, ascending.
-func (s *Set) Dsts() []int {
-	out := make([]int, 0, len(s.logs))
-	for d := range s.logs {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // PendingFlush returns the unflushed bytes the pre-checkpoint log sync must
 // write: everything logged minus what the background flusher (and earlier
 // syncs) already made durable.
@@ -182,12 +161,7 @@ func (s *Set) PendingFlush() int64 {
 
 // MarkFlushed marks all logged bytes durable (called after the pre-checkpoint
 // flush completes).
-func (s *Set) MarkFlushed() {
-	s.flushed = s.total
-	for _, l := range s.logs {
-		l.Flushed = l.Total
-	}
-}
+func (s *Set) MarkFlushed() { s.flushed = s.total }
 
 // GC applies a piggybacked volume from peer dst: entries the peer had
 // received before its checkpoint are discarded. Returns bytes freed.
@@ -212,16 +186,4 @@ func (s *Set) Replay(dst int, from, to int64) ReplayPlan {
 		return ReplayPlan{Dst: dst}
 	}
 	return l.replayPlan(from, to)
-}
-
-// TotalLogged returns cumulative (bytes, messages) logged across all
-// destinations.
-func (s *Set) TotalLogged() (int64, int) {
-	var b int64
-	var m int
-	for _, l := range s.logs {
-		b += l.Total
-		m += l.TotalMsgs
-	}
-	return b, m
 }

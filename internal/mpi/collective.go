@@ -21,27 +21,6 @@ func indexOf(group []int, id int) int {
 	return -1
 }
 
-// Barrier performs a dissemination barrier over group (which must contain
-// this rank). Each of ⌈log₂ n⌉ rounds sends one small message to the rank
-// 2^k positions ahead and receives from the one 2^k behind.
-func (r *Rank) Barrier(group []int, op int) {
-	n := len(group)
-	if n <= 1 {
-		return
-	}
-	me := indexOf(group, r.ID)
-	if me < 0 {
-		panic("mpi: Barrier caller not in group")
-	}
-	const barrierBytes = 8
-	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
-		to := group[(me+k)%n]
-		from := group[(me-k+n)%n]
-		r.Send(to, collTag(op, round), barrierBytes, nil)
-		r.recvFree(from, collTag(op, round))
-	}
-}
-
 // Bcast broadcasts bytes from root through a binomial tree over group.
 // Non-root ranks block until their copy arrives; internal ranks forward.
 func (r *Rank) Bcast(root int, group []int, op int, bytes int64) {
@@ -115,31 +94,11 @@ func (r *Rank) Allreduce(group []int, op int, bytes int64) {
 	r.Bcast(group[0], group, op+1, bytes)
 }
 
-// RingBcast broadcasts bytes from root around group as a pipeline ring
-// (HPL's "increasing ring" panel broadcast): root sends to its successor,
-// each rank forwards to the next. Total of n−1 messages of the full size.
-func (r *Rank) RingBcast(root int, group []int, op int, bytes int64) {
-	n := len(group)
-	if n <= 1 {
-		return
-	}
-	me := indexOf(group, r.ID)
-	rootIdx := indexOf(group, root)
-	if me < 0 || rootIdx < 0 {
-		panic("mpi: RingBcast rank or root not in group")
-	}
-	vrank := (me - rootIdx + n) % n
-	if vrank != 0 {
-		r.recvFree(group[(me-1+n)%n], collTag(op, 2))
-	}
-	if vrank != n-1 {
-		r.Send(group[(me+1)%n], collTag(op, 2), bytes, nil)
-	}
-}
-
-// RingBcastPipelined is RingBcast with the payload split into chunks that
-// are forwarded as they arrive (HPL's panel broadcasts stream in block
-// columns). The ring completes in ~ (n-1+chunks-1)/chunks of the
+// RingBcastPipelined broadcasts bytes from root around group as a pipeline
+// ring (HPL's "increasing ring" panel broadcast): root sends to its
+// successor and each rank forwards to the next, with the payload split into
+// chunks that are forwarded as they arrive (HPL's panel broadcasts stream in
+// block columns). The ring completes in ~ (n-1+chunks-1)/chunks of the
 // store-and-forward time instead of (n-1) full transfers.
 func (r *Rank) RingBcastPipelined(root int, group []int, op int, bytes int64, chunks int) {
 	n := len(group)

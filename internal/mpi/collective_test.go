@@ -14,34 +14,6 @@ func ranksUpTo(n int) []int {
 	return g
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 7, 8, 16} {
-		n := n
-		k, w := testWorld(t, 1, n)
-		group := ranksUpTo(n)
-		var releases []sim.Time
-		w.Launch(func(r *Rank) {
-			// Stagger arrivals: rank i arrives at i seconds.
-			r.Proc.Hold(sim.Time(r.ID) * sim.Second)
-			r.Barrier(group, 1)
-			releases = append(releases, r.Now())
-		})
-		if err := k.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(releases) != n {
-			t.Fatalf("n=%d: %d releases", n, len(releases))
-		}
-		// No rank may leave the barrier before the last (slowest) arrives.
-		slowest := sim.Time(n-1) * sim.Second
-		for _, rel := range releases {
-			if rel < slowest {
-				t.Errorf("n=%d: release at %v before slowest arrival %v", n, rel, slowest)
-			}
-		}
-	}
-}
-
 func TestBcastDeliversFromEveryRoot(t *testing.T) {
 	const n = 6
 	for root := 0; root < n; root++ {
@@ -131,7 +103,7 @@ func TestRingBcastCompletes(t *testing.T) {
 	k, w := testWorld(t, 1, n)
 	tr := &countTracer{}
 	w.Tracer = tr
-	w.Launch(func(r *Rank) { r.RingBcast(2, ranksUpTo(n), 3, 50_000) })
+	w.Launch(func(r *Rank) { r.RingBcastPipelined(2, ranksUpTo(n), 3, 50_000, 1) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +113,13 @@ func TestRingBcastCompletes(t *testing.T) {
 }
 
 func TestCollectiveOnSubgroup(t *testing.T) {
-	// Ranks {1,3,5} barrier among themselves while {0,2,4} exchange
+	// Ranks {1,3,5} allreduce among themselves while {0,2,4} exchange
 	// point-to-point traffic with distinct tags. No cross-matching.
 	k, w := testWorld(t, 1, 6)
 	sub := []int{1, 3, 5}
 	w.Launch(func(r *Rank) {
 		if r.ID%2 == 1 {
-			r.Barrier(sub, 9)
+			r.Allreduce(sub, 9, 8)
 		} else {
 			next := (r.ID + 2) % 6
 			prev := (r.ID + 4) % 6
@@ -163,37 +135,16 @@ func TestCollectiveOnSubgroup(t *testing.T) {
 func TestCollectiveSingletonGroupIsNoop(t *testing.T) {
 	k, w := testWorld(t, 1, 1)
 	w.Launch(func(r *Rank) {
-		r.Barrier([]int{0}, 1)
 		r.Bcast(0, []int{0}, 2, 100)
 		r.Reduce(0, []int{0}, 3, 100)
 		r.Allreduce([]int{0}, 4, 100)
-		r.RingBcast(0, []int{0}, 5, 100)
+		r.RingBcastPipelined(0, []int{0}, 5, 100, 4)
 		if r.Now() != 0 {
 			t.Errorf("singleton collectives advanced time to %v", r.Now())
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBarrierCallerNotInGroupPanics(t *testing.T) {
-	k, w := testWorld(t, 1, 3)
-	panicked := make(chan bool, 1)
-	w.Launch(func(r *Rank) {
-		if r.ID == 0 {
-			defer func() { panicked <- recover() != nil }()
-			r.Barrier([]int{1, 2}, 1)
-		}
-	})
-	_ = k.Run() // rank 1 may deadlock; we only care about the panic
-	select {
-	case ok := <-panicked:
-		if !ok {
-			t.Error("no panic for caller outside group")
-		}
-	default:
-		t.Error("rank 0 never ran")
 	}
 }
 

@@ -111,7 +111,7 @@ func TestGateFreezesSender(t *testing.T) {
 			r.Recv(0, 1)
 		}
 	})
-	k.After(sim.Seconds(5), func() { w.Ranks[0].Gate.Open() })
+	k.At(sim.Seconds(5), func() { w.Ranks[0].Gate.Open() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSendGateFreezesOnlySends(t *testing.T) {
 			r.Recv(0, 3)
 		}
 	})
-	k.After(sim.Seconds(5), func() { w.Ranks[0].SendGate.Open() })
+	k.At(sim.Seconds(5), func() { w.Ranks[0].SendGate.Open() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestGateParksReceiveCompletion(t *testing.T) {
 			r.Send(0, 1, 1000, nil)
 		}
 	})
-	k.After(sim.Second, func() { w.Ranks[0].Gate.Close() })
-	k.After(sim.Seconds(10), func() {
+	k.At(sim.Second, func() { w.Ranks[0].Gate.Close() })
+	k.At(sim.Seconds(10), func() {
 		if got := w.Ranks[0].RecvdBytes(1); got != 1000 {
 			t.Errorf("transport bytes at t=10s = %d, want 1000 (delivered while frozen)", got)
 		}
@@ -185,8 +185,8 @@ func TestComputeSlicesRespectGate(t *testing.T) {
 		r.Compute(1e9) // 1s of work in 0.1s slices
 		end = r.Now()
 	})
-	k.After(sim.Seconds(0.35), func() { w.Ranks[0].Gate.Close() })
-	k.After(sim.Seconds(5), func() { w.Ranks[0].Gate.Open() })
+	k.At(sim.Seconds(0.35), func() { w.Ranks[0].Gate.Close() })
+	k.At(sim.Seconds(5), func() { w.Ranks[0].Gate.Open() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,22 +220,6 @@ func TestCtrlPlaneBypassesGateAndCounters(t *testing.T) {
 	}
 	if w.Ranks[0].SentBytes(1) != 0 {
 		t.Error("ctrl traffic counted in application sent counters")
-	}
-}
-
-func TestCtrlTryRecv(t *testing.T) {
-	k, w := testWorld(t, 1, 2)
-	k.Spawn("d0", func(p *sim.Proc) {
-		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase+2, 8, nil)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := w.Ranks[1].CtrlTryRecv(0, TagCtrlBase+9); ok {
-		t.Error("TryRecv matched wrong tag")
-	}
-	if m, ok := w.Ranks[1].CtrlTryRecv(0, TagCtrlBase+2); !ok || m.Src != 0 {
-		t.Errorf("TryRecv = %v, %v", m, ok)
 	}
 }
 

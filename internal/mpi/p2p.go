@@ -155,13 +155,3 @@ func (r *Rank) CtrlSend(p *sim.Proc, dst, tag int, bytes int64, payload any) {
 func (r *Rank) CtrlRecv(p *sim.Proc, src, tag int) *Msg {
 	return r.ctrl.RecvKeyed(p, src, tag).(*Msg)
 }
-
-// CtrlTryRecv returns a queued control message matching (src, tag) if one is
-// already present.
-func (r *Rank) CtrlTryRecv(src, tag int) (*Msg, bool) {
-	v, ok := r.ctrl.TryRecvKeyed(src, tag)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Msg), true
-}

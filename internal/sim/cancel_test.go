@@ -75,7 +75,7 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 		mb := NewMailbox(k, "mb")
 		k.SpawnDaemon("daemon", func(p *Proc) {
 			for {
-				mb.Recv(p, func(any) bool { return true }) // parked forever: nothing sends
+				mb.RecvKeyed(p, AnyKey, 0) // parked forever: nothing sends
 			}
 		})
 		for j := 0; j < 8; j++ {
@@ -99,7 +99,7 @@ func TestShutdownAfterNormalRunReapsDaemons(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
 	k.SpawnDaemon("daemon", func(p *Proc) {
-		mb.Recv(p, func(any) bool { return true })
+		mb.RecvKeyed(p, AnyKey, 0)
 	})
 	k.Spawn("app", func(p *Proc) { p.Hold(Millisecond) })
 	if err := k.Run(); err != nil {
@@ -152,7 +152,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 				i := i
 				boom[i] = fmt.Errorf("boom in partition %d", i)
 				mb := NewMailbox(k, "idle")
-				k.SpawnDaemonIn(i, "daemon", func(p *Proc) { mb.Recv(p, nil) })
+				k.SpawnDaemonIn(i, "daemon", func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
 				k.SpawnIn(i, "worker", func(p *Proc) {
 					p.Hold(10 * Microsecond) // every partition wakes in one round
 					if i%2 == 1 {

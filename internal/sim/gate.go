@@ -17,12 +17,6 @@ func NewGate(k *Kernel, name string) *Gate {
 	return &Gate{k: k, name: name, passState: "gate " + name}
 }
 
-// Closed reports whether the gate is closed.
-func (g *Gate) Closed() bool { return g.closed }
-
-// Waiting returns the number of processes parked at the gate.
-func (g *Gate) Waiting() int { return len(g.waiters) }
-
 // Close closes the gate. Processes reaching Pass afterwards park.
 func (g *Gate) Close() { g.closed = true }
 

@@ -48,10 +48,10 @@ func TestGateWaitingCount(t *testing.T) {
 	}
 	k.Spawn("check", func(p *Proc) {
 		p.Hold(Second)
-		if g.Waiting() != 3 {
-			t.Errorf("Waiting = %d, want 3", g.Waiting())
+		if len(g.waiters) != 3 {
+			t.Errorf("Waiting = %d, want 3", len(g.waiters))
 		}
-		if !g.Closed() {
+		if !g.closed {
 			t.Error("gate should be closed")
 		}
 		g.Open()
@@ -59,8 +59,8 @@ func TestGateWaitingCount(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Waiting() != 0 {
-		t.Errorf("Waiting after open = %d", g.Waiting())
+	if len(g.waiters) != 0 {
+		t.Errorf("Waiting after open = %d", len(g.waiters))
 	}
 }
 

@@ -107,47 +107,6 @@ func TestKeyedRecvMatchesSourceAndTag(t *testing.T) {
 	}
 }
 
-// TestTryRecvKeyed covers the non-blocking keyed probe.
-func TestTryRecvKeyed(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	mb.PutKeyed("x", 4, 2)
-	if _, ok := mb.TryRecvKeyed(4, 3); ok {
-		t.Error("matched wrong tag")
-	}
-	if _, ok := mb.TryRecvKeyed(5, 2); ok {
-		t.Error("matched wrong source")
-	}
-	if v, ok := mb.TryRecvKeyed(AnyKey, 2); !ok || v != "x" {
-		t.Errorf("TryRecvKeyed = %v, %v", v, ok)
-	}
-	if mb.Len() != 0 {
-		t.Errorf("len = %d after take", mb.Len())
-	}
-}
-
-// TestMixedKeyedAndPredicateWaiters: a keyed waiter and a predicate waiter
-// on the same mailbox each get the right message, whichever arrives first.
-func TestMixedKeyedAndPredicateWaiters(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	var keyedGot, predGot any
-	k.Spawn("keyed", func(p *Proc) {
-		keyedGot = mb.RecvKeyed(p, 1, 1)
-	})
-	k.Spawn("pred", func(p *Proc) {
-		predGot = mb.Recv(p, func(v any) bool { s, ok := v.(string); return ok && s == "match" })
-	})
-	k.At(Second, func() { mb.PutKeyed("match", 9, 9) }) // predicate waiter's
-	k.At(2*Second, func() { mb.PutKeyed("keyed", 1, 1) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if keyedGot != "keyed" || predGot != "match" {
-		t.Errorf("keyed=%v pred=%v", keyedGot, predGot)
-	}
-}
-
 // TestDeterministicEventCountAcrossRuns: the scheduler refactor must not
 // change what counts as an event — two identical runs agree exactly, and
 // the Events diagnostic equals heap pops (stale wakeups included).
@@ -159,13 +118,13 @@ func TestDeterministicEventCountAcrossRuns(t *testing.T) {
 			k.Spawn("w", func(p *Proc) {
 				for j := 0; j < 50; j++ {
 					p.Hold(Time(k.Rand().Int63n(int64(Millisecond))))
-					mb.Put(j)
+					mb.PutKeyed(j, 0, 0)
 				}
 			})
 		}
 		k.Spawn("drain", func(p *Proc) {
 			for i := 0; i < 400; i++ {
-				mb.Recv(p, nil)
+				mb.RecvKeyed(p, AnyKey, 0)
 			}
 		})
 		if err := k.Run(); err != nil {

@@ -181,8 +181,6 @@ type Kernel struct {
 	err      error        // the run's outcome, recorded by whoever ends it
 
 	barriers []func() // flush hooks, run after every round merge
-	stalls   uint64   // lookahead stalls: nonempty partitions held back a round
-	rounds   uint64   // lookahead windows opened
 
 	running bool
 	stopAt  Time     // 0 = no horizon
@@ -245,19 +243,6 @@ func (k *Kernel) SetRunWorkers(n int) {
 	}
 	k.workers = n
 }
-
-// Partitions returns the number of partitions (1 for a serial kernel).
-func (k *Kernel) Partitions() int { return len(k.parts) }
-
-// LookaheadStalls returns how many times a nonempty partition sat out a
-// round because the conservative bound held it back — the coordination cost
-// of the partitioned schedule.
-func (k *Kernel) LookaheadStalls() uint64 { return k.stalls }
-
-// Rounds returns how many lookahead windows the partitioned schedule has
-// opened (0 on a single-partition kernel). LookaheadStalls / Rounds is the
-// mean number of partitions left idle per round.
-func (k *Kernel) Rounds() uint64 { return k.rounds }
 
 // OnBarrier registers fn to run in coordinator context after every round's
 // cross-partition merge (and once more when the run ends). All partitions
@@ -325,12 +310,9 @@ func (k *Kernel) SetHorizon(t Time) { k.stopAt = t }
 // unwind suspended processes; call Shutdown (after Run returns) for that.
 func (k *Kernel) Interrupt() { k.intr.Store(true) }
 
-// Interrupted reports whether Interrupt has been called.
-func (k *Kernel) Interrupted() bool { return k.intr.Load() }
-
 // At schedules fn to run in kernel context at virtual time t (or now, if t is
 // in the past). fn must not block: it may schedule events, put messages into
-// mailboxes, and spawn processes, but must not call Hold, Recv, or any other
+// mailboxes, and spawn processes, but must not call Hold, RecvKeyed, or any other
 // blocking primitive. "Kernel context" is whichever process or home loop
 // is running the event loop when the event fires. On a partitioned kernel,
 // At targets partition 0; use PartAt from any other partition's context.
@@ -391,9 +373,6 @@ func (k *Kernel) CrossAt1(src, dst int, t Time, fn func(any), arg any) {
 	sp.outbox = append(sp.outbox, xev{dst: dst, at: t, fn1: fn, arg: arg})
 }
 
-// After is At relative to the current time (partition 0's clock).
-func (k *Kernel) After(d Time, fn func()) { k.At(k.parts[0].now+d, fn) }
-
 // GlobalAt schedules fn as a barrier-synchronized global event at time t: it
 // runs in coordinator context once every partition has processed all events
 // strictly before t, observing a deterministic quiesced state. On a
@@ -451,7 +430,6 @@ func (k *Kernel) SpawnDaemonIn(part int, name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) spawn(pt *partition, name string, fn func(p *Proc), daemon bool) *Proc {
 	p := &Proc{
 		pt:      pt,
-		id:      len(pt.procs),
 		name:    name,
 		blocked: true,
 		state:   "start",
@@ -810,15 +788,11 @@ func (k *Kernel) openRound() bool {
 			// lookahead > 0, G > min1, and hcap > min1 all hold here.
 			panic("sim: lookahead deadlock — no runnable partition")
 		}
-		k.rounds++
 		if m := k.metrics; m != nil && m.Rounds != nil {
 			m.Rounds.Inc()
 		}
-		if stalled > 0 {
-			k.stalls += uint64(stalled)
-			if m := k.metrics; m != nil && m.LookaheadStalls != nil {
-				m.LookaheadStalls.Add(int64(stalled))
-			}
+		if m := k.metrics; m != nil && stalled > 0 && m.LookaheadStalls != nil {
+			m.LookaheadStalls.Add(int64(stalled))
 		}
 		return true
 	}

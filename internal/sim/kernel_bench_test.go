@@ -23,12 +23,12 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	tick = func() {
 		if remaining > 0 {
 			remaining--
-			k.After(Time(k.Rand().Int63n(int64(Millisecond))), tick)
+			k.At(k.Now()+Time(k.Rand().Int63n(int64(Millisecond))), tick)
 		}
 	}
 	for i := 0; i < outstanding && remaining > 0; i++ {
 		remaining--
-		k.After(Time(k.Rand().Int63n(int64(Millisecond))), tick)
+		k.At(k.Now()+Time(k.Rand().Int63n(int64(Millisecond))), tick)
 	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
@@ -129,15 +129,15 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 		c := NewMailbox(k, "c")
 		k.Spawn("ping", func(p *Proc) {
 			for j := 0; j < rounds; j++ {
-				a.Put(j)
-				c.Recv(p, nil)
+				a.PutKeyed(j, 0, 0)
+				c.RecvKeyed(p, AnyKey, 0)
 			}
 		})
 		k.Spawn("pong", func(p *Proc) {
 			for j := 0; j < rounds; j++ {
-				a.Recv(p, nil)
+				a.RecvKeyed(p, AnyKey, 0)
 				p.Hold(Time(j%64 + 1))
-				c.Put(j)
+				c.PutKeyed(j, 0, 0)
 			}
 		})
 	}

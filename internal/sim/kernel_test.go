@@ -125,13 +125,13 @@ func TestAfterIsRelative(t *testing.T) {
 	var at Time = -1
 	k.Spawn("a", func(p *Proc) {
 		p.Hold(Seconds(2))
-		k.After(Seconds(3), func() { at = k.Now() })
+		k.GlobalAfter(Seconds(3), func() { at = k.Now() })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if at != Seconds(5) {
-		t.Errorf("After callback at %v, want 5s", at)
+		t.Errorf("GlobalAfter callback at %v, want 5s", at)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "never")
 	k.Spawn("stuck", func(p *Proc) {
-		mb.Recv(p, nil)
+		mb.RecvKeyed(p, AnyKey, 0)
 	})
 	err := k.Run()
 	var de *DeadlockError
@@ -154,10 +154,10 @@ func TestDeadlockDetection(t *testing.T) {
 func TestNoDeadlockWhenAllFinish(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
-	k.Spawn("recv", func(p *Proc) { mb.Recv(p, nil) })
+	k.Spawn("recv", func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(Second)
-		mb.Put("hello")
+		mb.PutKeyed("hello", 0, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
@@ -188,7 +188,7 @@ func TestStaleWakeupDropped(t *testing.T) {
 	wakeups := 0
 	k.Spawn("sleeper", func(p *Proc) {
 		// Block on the mailbox; the put arrives at t=1.
-		mb.Recv(p, nil)
+		mb.RecvKeyed(p, AnyKey, 0)
 		wakeups++
 		// Then hold until t=5; nothing else should wake us.
 		p.Hold(Seconds(4))
@@ -199,8 +199,8 @@ func TestStaleWakeupDropped(t *testing.T) {
 	})
 	k.Spawn("waker", func(p *Proc) {
 		p.Hold(Second)
-		mb.Put(1)
-		mb.Put(2) // second put queues; must not wake the Hold early
+		mb.PutKeyed(1, 0, 0)
+		mb.PutKeyed(2, 0, 0) // second put queues; must not wake the Hold early
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -233,14 +233,14 @@ func TestDeterminismSameSeed(t *testing.T) {
 			k.Spawn("worker", func(p *Proc) {
 				for j := 0; j < 20; j++ {
 					p.Hold(Time(k.Rand().Int63n(int64(Second))))
-					mb.Put(p.ID())
+					mb.PutKeyed(j, 0, 0)
 					times = append(times, p.Now())
 				}
 			})
 		}
 		k.Spawn("drain", func(p *Proc) {
 			for i := 0; i < 100; i++ {
-				mb.Recv(p, nil)
+				mb.RecvKeyed(p, AnyKey, 0)
 			}
 		})
 		if err := k.Run(); err != nil {
@@ -300,16 +300,16 @@ func TestProcAccessors(t *testing.T) {
 	if p.Name() != "named" {
 		t.Errorf("Name = %q", p.Name())
 	}
-	if p.Kernel() != k {
+	if p.pt.k != k {
 		t.Error("Kernel accessor mismatch")
 	}
-	if p.Done() {
+	if p.done {
 		t.Error("Done before Run")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Error("not Done after Run")
 	}
 }

@@ -4,16 +4,10 @@ package sim
 // any-source).
 const AnyKey = -1
 
-// Mailbox is an unbounded message queue with two matching disciplines:
-//
-//   - keyed: every message carries an (src, tag) integer pair and a
-//     receiver waits for an exact tag from a given source (or AnyKey).
-//     This is the allocation-free fast path the MPI layer uses — no
-//     predicate closure per receive.
-//   - predicate: a receiver waits for the first message satisfying an
-//     arbitrary condition. Messages queued via Put carry the zero key.
-//
-// Messages that match no current waiter queue up in FIFO order.
+// Mailbox is an unbounded message queue matched on keys: every message
+// carries an (src, tag) integer pair, and a receiver waits for an exact tag
+// from a given source (or AnyKey) — MPI's matching rule, with no closure per
+// receive. Messages that match no current waiter queue up in FIFO order.
 type Mailbox struct {
 	k         *Kernel
 	name      string
@@ -31,25 +25,16 @@ type mboxItem struct {
 // mboxWaiter is a parked receiver. Waiters are embedded in Proc (a process
 // waits on at most one mailbox at a time), so registering allocates nothing.
 type mboxWaiter struct {
-	p     *Proc
-	match func(any) bool // predicate mode; nil matches anything
-	a, b  int            // keyed mode
-	keyed bool
-	got   any
-	ok    bool
+	p    *Proc
+	a, b int
+	got  any
+	ok   bool
 }
 
-func (w *mboxWaiter) matches(it *mboxItem) bool {
-	if w.keyed {
-		return keyMatches(w.a, w.b, it)
-	}
-	return w.match == nil || w.match(it.v)
-}
-
-// keyMatches is the single definition of keyed matching: exact second key,
-// first key exact or AnyKey. Waiter matching and queued-item scans must
-// agree on this, or a message could queue past a waiter that should have
-// received it.
+// keyMatches is the single definition of matching: exact second key, first
+// key exact or AnyKey. Waiter matching and queued-item scans must agree on
+// this, or a message could queue past a waiter that should have received
+// it.
 func keyMatches(a, b int, it *mboxItem) bool {
 	return (a == AnyKey || a == it.a) && b == it.b
 }
@@ -62,16 +47,13 @@ func NewMailbox(k *Kernel, name string) *Mailbox {
 // Len returns the number of queued (unmatched) messages.
 func (m *Mailbox) Len() int { return len(m.items) }
 
-// Put delivers v to the first waiter whose condition matches, or queues it
-// with the zero key. Put never blocks and may be called from kernel context.
-func (m *Mailbox) Put(v any) { m.PutKeyed(v, 0, 0) }
-
-// PutKeyed is Put for a message carrying match keys (a, b) — typically an
-// MPI (source, tag) pair.
+// PutKeyed delivers v, carrying match keys (a, b) — typically an MPI
+// (source, tag) pair — to the first waiter whose keys match, or queues it.
+// PutKeyed never blocks and may be called from kernel context.
 func (m *Mailbox) PutKeyed(v any, a, b int) {
 	it := mboxItem{v: v, a: a, b: b}
 	for i, w := range m.waiters {
-		if w.matches(&it) {
+		if keyMatches(w.a, w.b, &it) {
 			w.got, w.ok = v, true
 			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
 			// Wake through the waiter's own partition: a mailbox is only
@@ -84,18 +66,6 @@ func (m *Mailbox) PutKeyed(v any, a, b int) {
 	m.items = append(m.items, it)
 }
 
-// Recv blocks p until a message matching match (nil = any) is available and
-// returns it. Matching among queued messages is FIFO.
-func (m *Mailbox) Recv(p *Proc, match func(any) bool) any {
-	for i := range m.items {
-		if match == nil || match(m.items[i].v) {
-			return m.take(i)
-		}
-	}
-	p.mbw = mboxWaiter{p: p, match: match}
-	return m.wait(p)
-}
-
 // RecvKeyed blocks p until a message with key (a, b) — a == AnyKey matching
 // any first key — is available and returns it. Matching among queued
 // messages is FIFO.
@@ -105,7 +75,7 @@ func (m *Mailbox) RecvKeyed(p *Proc, a, b int) any {
 			return m.take(i)
 		}
 	}
-	p.mbw = mboxWaiter{p: p, a: a, b: b, keyed: true}
+	p.mbw = mboxWaiter{p: p, a: a, b: b}
 	return m.wait(p)
 }
 
@@ -123,31 +93,9 @@ func (m *Mailbox) wait(p *Proc) any {
 	m.waiters = append(m.waiters, w)
 	p.block(m.recvState)
 	if !w.ok {
-		panic("sim: spurious wakeup in Mailbox.Recv")
+		panic("sim: spurious wakeup in Mailbox.RecvKeyed")
 	}
 	v := w.got
-	w.got, w.ok, w.match = nil, false, nil
+	w.got, w.ok = nil, false
 	return v
-}
-
-// TryRecv returns the first queued message matching match (nil = any)
-// without blocking; ok is false if none is queued.
-func (m *Mailbox) TryRecv(match func(any) bool) (v any, ok bool) {
-	for i := range m.items {
-		if match == nil || match(m.items[i].v) {
-			return m.take(i), true
-		}
-	}
-	return nil, false
-}
-
-// TryRecvKeyed returns the first queued message with key (a, b) without
-// blocking; ok is false if none is queued.
-func (m *Mailbox) TryRecvKeyed(a, b int) (v any, ok bool) {
-	for i := range m.items {
-		if keyMatches(a, b, &m.items[i]) {
-			return m.take(i), true
-		}
-	}
-	return nil, false
 }

@@ -10,12 +10,12 @@ func TestMailboxFIFO(t *testing.T) {
 	var got []int
 	k.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p, nil).(int))
+			got = append(got, mb.RecvKeyed(p, AnyKey, 0).(int))
 		}
 	})
 	k.Spawn("send", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			mb.Put(i)
+			mb.PutKeyed(i, 0, 0)
 			p.Hold(Millisecond)
 		}
 	})
@@ -29,40 +29,14 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxPredicateMatch(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	var first tmsg
-	k.Spawn("recv", func(p *Proc) {
-		// Wait specifically for src=2 even though src=1 arrives first.
-		v := mb.Recv(p, func(v any) bool { return v.(tmsg).src == 2 })
-		first = v.(tmsg)
-	})
-	k.Spawn("send", func(p *Proc) {
-		p.Hold(Millisecond)
-		mb.Put(tmsg{src: 1})
-		p.Hold(Millisecond)
-		mb.Put(tmsg{src: 2})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if first.src != 2 {
-		t.Errorf("matched src=%d, want 2", first.src)
-	}
-	if mb.Len() != 1 {
-		t.Errorf("len = %d, want 1 (src=1 left queued)", mb.Len())
-	}
-}
-
 func TestMailboxQueuedMessageMatchedImmediately(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
-	mb.Put(tmsg{src: 7})
+	mb.PutKeyed(tmsg{src: 7}, 7, 0)
 	var at Time = -1
 	k.Spawn("recv", func(p *Proc) {
 		p.Hold(Second)
-		mb.Recv(p, func(v any) bool { return v.(tmsg).src == 7 })
+		mb.RecvKeyed(p, 7, 0)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -79,7 +53,7 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	var order []string
 	spawnWaiter := func(name string) {
 		k.Spawn(name, func(p *Proc) {
-			mb.Recv(p, nil)
+			mb.RecvKeyed(p, AnyKey, 0)
 			order = append(order, name)
 		})
 	}
@@ -87,9 +61,9 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	spawnWaiter("second")
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(Second)
-		mb.Put(1)
+		mb.PutKeyed(1, 0, 0)
 		p.Hold(Second)
-		mb.Put(2)
+		mb.PutKeyed(2, 0, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -99,21 +73,21 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxWaitersMatchedByPredicate(t *testing.T) {
+func TestMailboxWaitersMatchedByKey(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
 	var tagGot = map[int]int{}
 	for _, tag := range []int{10, 20} {
 		tag := tag
 		k.Spawn("recv", func(p *Proc) {
-			v := mb.Recv(p, func(v any) bool { return v.(tmsg).tag == tag })
+			v := mb.RecvKeyed(p, AnyKey, tag)
 			tagGot[tag] = v.(tmsg).src
 		})
 	}
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(Millisecond)
-		mb.Put(tmsg{src: 1, tag: 20}) // delivered to the tag=20 waiter
-		mb.Put(tmsg{src: 2, tag: 10})
+		mb.PutKeyed(tmsg{src: 1, tag: 20}, 1, 20) // delivered to the tag=20 waiter
+		mb.PutKeyed(tmsg{src: 2, tag: 10}, 2, 10)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -123,35 +97,15 @@ func TestMailboxWaitersMatchedByPredicate(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	if _, ok := mb.TryRecv(nil); ok {
-		t.Error("TryRecv on empty mailbox succeeded")
-	}
-	mb.Put(tmsg{src: 3})
-	mb.Put(tmsg{src: 4})
-	if _, ok := mb.TryRecv(func(v any) bool { return v.(tmsg).src == 9 }); ok {
-		t.Error("TryRecv matched nonexistent message")
-	}
-	v, ok := mb.TryRecv(func(v any) bool { return v.(tmsg).src == 4 })
-	if !ok || v.(tmsg).src != 4 {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-	if mb.Len() != 1 {
-		t.Errorf("Len = %d, want 1", mb.Len())
-	}
-}
-
 func TestMailboxPutFromKernelContext(t *testing.T) {
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
 	var at Time
 	k.Spawn("recv", func(p *Proc) {
-		mb.Recv(p, nil)
+		mb.RecvKeyed(p, AnyKey, 0)
 		at = p.Now()
 	})
-	k.At(Seconds(2), func() { mb.Put("x") })
+	k.At(Seconds(2), func() { mb.PutKeyed("x", 0, 0) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // The partitioned kernel's contract, tested directly on small models: the
@@ -28,14 +30,16 @@ const (
 // global events log the quiesced cross-partition state.
 type ringModel struct {
 	k     *Kernel
+	col   *metrics.Collector // the kernel's instruments: rounds and stalls
 	logs  [ringParts][]string
 	glog  []string
 	hooks int
 }
 
 func newRingModel(workers int) *ringModel {
-	m := &ringModel{k: NewKernel(7)}
+	m := &ringModel{k: NewKernel(7), col: metrics.New()}
 	k := m.k
+	k.SetMetrics(NewMetrics(m.col))
 	k.SetPartitions(ringParts, ringLookahead)
 	k.SetRunWorkers(workers)
 	k.OnBarrier(func() { m.hooks++ })
@@ -45,7 +49,7 @@ func newRingModel(workers int) *ringModel {
 	for i := range mbs {
 		mbs[i] = NewMailbox(k, fmt.Sprintf("ring%d", i))
 		mb := mbs[i]
-		deliver[i] = func(v any) { mb.Put(v) }
+		deliver[i] = func(v any) { mb.PutKeyed(v, 0, 0) }
 	}
 	const hops = ringParts*ringLaps - 1 // a token is received hops+1 times
 	for i := 0; i < ringParts; i++ {
@@ -55,7 +59,7 @@ func newRingModel(workers int) *ringModel {
 		k.SpawnIn(i, fmt.Sprintf("player%d", i), func(p *Proc) {
 			rng := k.PartRand(i)
 			for n := 0; n < ringParts*ringLaps; n++ {
-				hop := mbs[i].Recv(p, nil).(int)
+				hop := mbs[i].RecvKeyed(p, AnyKey, 0).(int)
 				m.logs[i] = append(m.logs[i], fmt.Sprintf("t=%d p%d hop=%d", p.Now(), i, hop))
 				p.Hold(Time(rng.Int63n(int64(3 * ringLookahead))))
 				if hop < hops {
@@ -102,9 +106,12 @@ type ringOutcome struct {
 func (m *ringModel) run(t *testing.T) ringOutcome {
 	t.Helper()
 	err := m.k.Run()
+	snap := m.col.Snapshot()
+	stalls, _ := snap.Counter("sim_lookahead_stalls_total")
+	rounds, _ := snap.Counter("sim_rounds_total")
 	out := ringOutcome{
 		Logs: m.logs, Glog: m.glog,
-		Events: m.k.Events(), Stalls: m.k.LookaheadStalls(), Rounds: m.k.Rounds(),
+		Events: m.k.Events(), Stalls: uint64(stalls), Rounds: uint64(rounds),
 		Hooks: m.hooks, EndTime: m.k.Now(),
 	}
 	if err != nil {
@@ -211,7 +218,7 @@ func TestPartitionedDeadlock(t *testing.T) {
 	forWorkers(t, func(w int) *ringModel {
 		m := newRingModel(w)
 		never := NewMailbox(m.k, "never")
-		m.k.SpawnIn(2, "stuck", func(p *Proc) { never.Recv(p, nil) })
+		m.k.SpawnIn(2, "stuck", func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
 		return m
 	}, func(t *testing.T, out ringOutcome) {
 		if !strings.Contains(out.Err, "deadlock") || !strings.Contains(out.Err, "stuck") {
@@ -220,7 +227,7 @@ func TestPartitionedDeadlock(t *testing.T) {
 	})
 	m := newRingModel(1)
 	never := NewMailbox(m.k, "never")
-	m.k.SpawnIn(3, "stuck", func(p *Proc) { never.Recv(p, nil) })
+	m.k.SpawnIn(3, "stuck", func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
 	err := m.k.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) || len(de.Blocked) != 1 {
@@ -285,6 +292,8 @@ func TestCrossAt1RefusesOutsideWindow(t *testing.T) {
 // rounds, and its barrier hooks fire only for the final flush.
 func TestSerialKernelBarrierFiresOnce(t *testing.T) {
 	k := NewKernel(1)
+	col := metrics.New()
+	k.SetMetrics(NewMetrics(col))
 	hooks := 0
 	k.OnBarrier(func() { hooks++ })
 	k.Spawn("a", func(p *Proc) {
@@ -295,7 +304,7 @@ func TestSerialKernelBarrierFiresOnce(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if hooks != 1 || k.Rounds() != 0 {
-		t.Errorf("hooks=%d rounds=%d, want 1 and 0", hooks, k.Rounds())
+	if rounds, _ := col.Snapshot().Counter("sim_rounds_total"); hooks != 1 || rounds != 0 {
+		t.Errorf("hooks=%d rounds=%d, want 1 and 0", hooks, rounds)
 	}
 }

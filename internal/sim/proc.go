@@ -3,12 +3,11 @@ package sim
 // Proc is a simulated process: a coroutine (iter.Pull) resumed by its
 // partition's home loop. Within a partition, exactly one Proc executes at any
 // instant; a Proc runs until it calls a blocking primitive (Hold,
-// Mailbox.Recv, Resource.Use, Gate.Pass, Counter.AwaitAtLeast), at which
+// Mailbox.RecvKeyed, Resource.Use, Gate.Pass, Counter.AwaitAtLeast), at which
 // point it runs its partition's event loop itself and either keeps running
 // or yields the next runnable process to the home loop (see Kernel).
 type Proc struct {
 	pt      *partition
-	id      int // index within the partition, spawn order
 	name    string
 	next    func() (*Proc, bool) // resume the coroutine until it yields or ends
 	stop    func()               // unwind the suspended coroutine (Shutdown)
@@ -26,29 +25,11 @@ type Proc struct {
 	cw  counterWaiter
 }
 
-// Daemon reports whether the process was spawned with SpawnDaemon.
-func (p *Proc) Daemon() bool { return p.daemon }
-
-// ID returns the process's id (spawn order within its partition).
-func (p *Proc) ID() int { return p.id }
-
 // Name returns the process's name.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this process runs under.
-func (p *Proc) Kernel() *Kernel { return p.pt.k }
-
-// Part returns the partition this process runs in (0 on a serial kernel).
-func (p *Proc) Part() int { return p.pt.id }
-
 // Now returns the process's partition's current virtual time.
 func (p *Proc) Now() Time { return p.pt.now }
-
-// State returns the process's current blocked-state description.
-func (p *Proc) State() string { return p.state }
-
-// Done reports whether the process has finished.
-func (p *Proc) Done() bool { return p.done }
 
 // block suspends the process with the given state description until the
 // kernel resumes it. Callers must have arranged a wakeup (a scheduled event

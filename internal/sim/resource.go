@@ -9,7 +9,7 @@ package sim
 //
 //   - Use: the calling process blocks until its request completes (a process
 //     writing its own checkpoint image to disk).
-//   - Reserve/ReserveAt: book capacity and obtain the completion time without
+//   - ReserveAt: book capacity and obtain the completion time without
 //     blocking (computing the delivery time of an in-flight message as it
 //     passes through the receiver's NIC).
 type Resource struct {
@@ -17,10 +17,7 @@ type Resource struct {
 	name     string
 	useState string  // "resource <name>", precomputed for block()
 	rate     float64 // bytes per second
-
-	freeAt Time
-	busy   Time  // total busy time, for utilization stats
-	served int64 // total bytes served
+	freeAt   Time
 }
 
 // NewResource returns a resource serving rate bytes per second.
@@ -30,15 +27,6 @@ func NewResource(k *Kernel, name string, rate float64) *Resource {
 	}
 	return &Resource{k: k, name: name, useState: "resource " + name, rate: rate}
 }
-
-// Rate returns the service rate in bytes per second.
-func (r *Resource) Rate() float64 { return r.rate }
-
-// BusyTime returns the cumulative busy time of the server.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// BytesServed returns the cumulative bytes served.
-func (r *Resource) BytesServed() int64 { return r.served }
 
 // serviceTime returns the time needed to serve n bytes.
 func (r *Resource) serviceTime(n int64) Time {
@@ -51,25 +39,15 @@ func (r *Resource) ReserveAt(t Time, n int64) Time {
 	if t < r.freeAt {
 		t = r.freeAt
 	}
-	d := r.serviceTime(n)
-	r.freeAt = t + d
-	r.busy += d
-	r.served += n
+	r.freeAt = t + r.serviceTime(n)
 	return r.freeAt
 }
-
-// Reserve books n bytes of service starting at the kernel clock (or when
-// the server frees up) and returns the completion time. It never blocks.
-// During a partitioned run, use ReserveAt with the caller's partition time
-// instead — the kernel-wide clock is not meaningful mid-window.
-func (r *Resource) Reserve(n int64) Time { return r.ReserveAt(r.k.Now(), n) }
 
 // BlockUntil keeps the resource busy until at least t (backpressure: a
 // streaming transfer occupies the local NIC until the remote side has
 // drained it).
 func (r *Resource) BlockUntil(t Time) {
 	if t > r.freeAt {
-		r.busy += t - r.freeAt
 		r.freeAt = t
 	}
 }
@@ -78,21 +56,6 @@ func (r *Resource) BlockUntil(t Time) {
 // returning the completion time.
 func (r *Resource) Use(p *Proc, n int64) Time {
 	end := r.ReserveAt(p.pt.now, n)
-	p.pt.scheduleWake(end, p)
-	p.block(r.useState)
-	return end
-}
-
-// UseDur occupies the resource for a fixed duration d (independent of rate)
-// and blocks p until it completes. Useful for seek times or fixed overheads.
-func (r *Resource) UseDur(p *Proc, d Time) Time {
-	t := p.pt.now
-	if t < r.freeAt {
-		t = r.freeAt
-	}
-	end := t + d
-	r.freeAt = end
-	r.busy += d
 	p.pt.scheduleWake(end, p)
 	p.block(r.useState)
 	return end

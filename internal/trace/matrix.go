@@ -57,21 +57,6 @@ func (m *CommMatrix) Sends() int { return m.sends }
 // TotalBytes returns the total bytes across all folded sends.
 func (m *CommMatrix) TotalBytes() int64 { return m.bytes }
 
-// NumPairs returns the number of distinct communicating rank pairs.
-func (m *CommMatrix) NumPairs() int { return len(m.cells) }
-
-// PairBytes returns the total bytes exchanged between the unordered pair
-// (a, b) in either direction.
-func (m *CommMatrix) PairBytes(a, b int) int64 {
-	if a > b {
-		a, b = b, a
-	}
-	if st := m.cells[uint64(uint32(a))<<32|uint64(uint32(b))]; st != nil {
-		return st.Bytes
-	}
-	return 0
-}
-
 // Pairs returns the aggregated pair totals sorted descending by bytes, then
 // count, then (A, B) ascending — the ordering the paper's Algorithm 2
 // prescribes, and byte-for-byte the ordering Aggregate produces from an

@@ -124,17 +124,3 @@ func GapFraction(records []Record, ranks []int, ckpts []Window, bucket sim.Time)
 	}
 	return float64(silent) / float64(total)
 }
-
-// ConceptDiagram is a textual rendering of the paper's Figure 3: the
-// comparison of group-based checkpoint against global coordinated
-// checkpoint and pure message logging.
-const ConceptDiagram = `
-  Coordinated (global):      Group-based:                Message logging:
-  P0 ──█████──────           P0 ──██──────── group A     P0 ──█────────
-  P1 ──█████──────           P1 ──██────────             P1 ────█──────
-  P2 ──█████──────           P2 ─────██───── group B     P2 ──────█────
-  P3 ──█████──────           P3 ─────██─────             P3 ───█───────
-  all ranks block            groups checkpoint           every message
-  together; no logs          independently; only         logged; no
-                             inter-group msgs logged     coordination
-`

@@ -28,11 +28,6 @@ type Record struct {
 // when only pair aggregates are needed.
 type Recorder struct {
 	Records []Record
-
-	// sends caches the filtered view Sends returns; sendsLen is the
-	// Records length the cache was built at, so appends invalidate it.
-	sends    []Record
-	sendsLen int
 }
 
 // Send implements mpi.Tracer.
@@ -43,26 +38,6 @@ func (r *Recorder) Send(t sim.Time, src, dst, tag int, bytes int64) {
 // Deliver implements mpi.Tracer.
 func (r *Recorder) Deliver(t sim.Time, src, dst, tag int, bytes int64) {
 	r.Records = append(r.Records, Record{T: t, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Deliver: true})
-}
-
-// Sends returns only the send records (the input to group formation). The
-// result is a cached view rebuilt only when records were appended since the
-// last call; callers must not append to it. Each rebuild allocates a fresh
-// backing array, so views returned by earlier calls stay valid. Mutating
-// Records other than by appending (e.g. truncate-and-refill) voids the
-// cache guarantee.
-func (r *Recorder) Sends() []Record {
-	if r.sends == nil || r.sendsLen != len(r.Records) {
-		sends := make([]Record, 0, len(r.Records))
-		for _, rec := range r.Records {
-			if !rec.Deliver {
-				sends = append(sends, rec)
-			}
-		}
-		r.sends = sends
-		r.sendsLen = len(r.Records)
-	}
-	return r.sends
 }
 
 // PairStat aggregates traffic between an unordered pair of ranks A < B.

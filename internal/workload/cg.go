@@ -70,9 +70,6 @@ func (c *CG) Name() string {
 // Procs implements Workload.
 func (c *CG) Procs() int { return c.NProcs }
 
-// Grid returns the process-grid dimensions (rows, cols).
-func (c *CG) Grid() (rows, cols int) { return c.rows, c.cols }
-
 // ImageBytes implements Workload: the rank's share of the sparse matrix
 // (values + indices ≈ 12 bytes/nonzero) and vectors, plus runtime overhead.
 func (c *CG) ImageBytes(rank int) int64 {

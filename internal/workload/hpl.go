@@ -79,17 +79,6 @@ func (h *HPL) colGroup(q int) []int {
 	return g
 }
 
-// ColumnFormationGroups returns the process columns as rank lists — the
-// formation the paper's Table 1 reports for HPL (Q groups of P ranks in
-// round-robin rank order).
-func (h *HPL) ColumnFormationGroups() [][]int {
-	out := make([][]int, h.Q)
-	for q := 0; q < h.Q; q++ {
-		out[q] = h.colGroup(q)
-	}
-	return out
-}
-
 // Body implements Workload.
 func (h *HPL) Body(r *mpi.Rank) {
 	myP, myQ := h.coords(r.ID)

@@ -56,9 +56,6 @@ func (s *SP) Name() string {
 // Procs implements Workload.
 func (s *SP) Procs() int { return s.NProcs }
 
-// Grid returns the square process-grid side.
-func (s *SP) Grid() int { return s.sq }
-
 // ImageBytes implements Workload: the rank's share of ~15 solution/RHS
 // arrays of Problem³ doubles, plus runtime overhead.
 func (s *SP) ImageBytes(rank int) int64 {

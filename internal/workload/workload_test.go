@@ -134,7 +134,10 @@ func TestHPLRejectsBadProcCount(t *testing.T) {
 
 func TestHPLColumnFormationGroups(t *testing.T) {
 	wl := NewHPL(20000, 32)
-	groups := wl.ColumnFormationGroups()
+	var groups [][]int
+	for q := 0; q < wl.Q; q++ {
+		groups = append(groups, wl.colGroup(q))
+	}
 	if len(groups) != 4 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -152,7 +155,7 @@ func TestCGRunsSquareAndRectangularGrids(t *testing.T) {
 		wl.NIter = 3 // keep the test fast
 		wl.NA = 15000
 		w, recs, _ := runWorkload(t, wl)
-		rows, cols := wl.Grid()
+		rows, cols := wl.rows, wl.cols
 		if rows*cols != n {
 			t.Fatalf("grid %dx%d != %d", rows, cols, n)
 		}
@@ -171,7 +174,7 @@ func TestCGGridLayoutMatchesNPB(t *testing.T) {
 	cases := map[int][2]int{16: {4, 4}, 32: {4, 8}, 64: {8, 8}, 128: {8, 16}}
 	for n, want := range cases {
 		wl := CGClassC(n)
-		rows, cols := wl.Grid()
+		rows, cols := wl.rows, wl.cols
 		if rows != want[0] || cols != want[1] {
 			t.Errorf("n=%d: grid %dx%d, want %dx%d", n, rows, cols, want[0], want[1])
 		}
@@ -247,7 +250,7 @@ func TestSPRowTrafficDominates(t *testing.T) {
 	wl.NIter = 8
 	wl.Problem = 36
 	_, recs, _ := runWorkload(t, wl)
-	sq := wl.Grid()
+	sq := wl.sq
 	var rowB, colB int64
 	for _, r := range recs {
 		if r.Deliver {
@@ -269,7 +272,7 @@ func TestSPGroupingRecoversRows(t *testing.T) {
 	wl.NIter = 8
 	wl.Problem = 36
 	_, recs, _ := runWorkload(t, wl)
-	sq := wl.Grid()
+	sq := wl.sq
 	f := group.FromTrace(recs, 16, sq)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)

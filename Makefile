@@ -106,14 +106,18 @@ fuzz-smoke:
 check-smoke:
 	$(GO) run ./cmd/gbcheck -n 100 -seed 1 -max-ranks 64
 
-# End-to-end CLI smoke: the -list inventory, one figure reproduction, then
+# End-to-end CLI smoke: the -list inventory, every paper figure at quick
+# scale diffed against its golden at one and two workers (~1 s each), then
 # the shipped example scenarios diffed against their golden tables — the
 # steady single-application sweep and the time-varying multi-job cluster
 # (bursty arrivals × bursty failures). The scenario engine guarantees
 # byte-identical output at any worker count, so the diffs are exact.
 smoke:
 	$(GO) run ./cmd/gbexp -list > /dev/null
-	$(GO) run ./cmd/gbexp -exp fig5 -quick -parallel 2 > /dev/null
+	$(GO) run ./cmd/gbexp -exp all -quick -parallel 1 \
+		| diff -u examples/paper/all-quick.golden -
+	$(GO) run ./cmd/gbexp -exp all -quick -parallel 2 \
+		| diff -u examples/paper/all-quick.golden -
 	$(GO) run ./cmd/gbexp -scenario examples/scenarios/modern-weibull.json \
 		| diff -u examples/scenarios/modern-weibull.golden -
 	$(GO) run ./cmd/gbexp -scenario examples/scenarios/cluster-burst.json -parallel 2 \

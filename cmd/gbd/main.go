@@ -43,6 +43,12 @@ import (
 // as long as their cells take.
 const readHeaderTimeout = 5 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests. Unset (with no ReadTimeout either), net/http waits forever for
+// the next request, so an idle client would hold its connection and a
+// goroutine for the life of the process.
+const idleTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (daemon mode); port 0 picks a free port")
@@ -83,7 +89,7 @@ func serve(addr, addrFile string, drain time.Duration, opts gbd.Options) error {
 			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	log.Printf("gbd: serving v1 API on http://%s", ln.Addr())
 
 	errc := make(chan error, 1)

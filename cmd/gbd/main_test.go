@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -80,9 +81,12 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
 	}
 
-	// The stalled client waits out readHeaderTimeout while the sweep runs.
+	// The stalled and idle clients wait out readHeaderTimeout and
+	// idleTimeout while the sweep runs.
 	stalled := make(chan error, 1)
 	go func() { stalled <- stallHeaders(strings.TrimPrefix(url, "http://")) }()
+	idle := make(chan error, 1)
+	go func() { idle <- idleKeepAlive(strings.TrimPrefix(url, "http://")) }()
 
 	cells, err := command("-post", "../../examples/scenarios/modern-weibull.json", "-url", url).Output()
 	if err != nil {
@@ -96,6 +100,9 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Errorf("-post cells differ from the golden:\n--- got ---\n%s--- want ---\n%s", cells, golden)
 	}
 	if err := <-stalled; err != nil {
+		t.Error(err)
+	}
+	if err := <-idle; err != nil {
 		t.Error(err)
 	}
 
@@ -118,8 +125,8 @@ func TestDaemonLifecycle(t *testing.T) {
 
 // stallHeaders connects to the daemon at addr, sends half a request line and
 // no more, and reports an error unless the daemon closes the connection once
-// readHeaderTimeout has passed (allowing a few seconds of slack). net/http
-// may answer 400 Bad Request as it hangs up; only the close matters here.
+// readHeaderTimeout has passed. net/http may answer 400 Bad Request as it
+// hangs up; only the close matters here.
 func stallHeaders(addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -130,16 +137,48 @@ func stallHeaders(addr string) error {
 	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
 		return err
 	}
-	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+	return awaitClose(conn, conn, start, readHeaderTimeout, "a connection with stalled headers")
+}
+
+// idleKeepAlive connects to the daemon at addr, completes one request on
+// the keep-alive connection and then sends nothing, and reports an error
+// unless the daemon closes the connection once idleTimeout has passed.
+func idleKeepAlive(addr string) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
 		return err
 	}
-	_, err = io.ReadAll(conn) // returns at the daemon's close or our deadline
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: gbd\r\n\r\n")); err != nil {
+		return err
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	return awaitClose(conn, br, time.Now(), idleTimeout, "an idle keep-alive connection")
+}
+
+// awaitClose reads r, conn's buffered reader or conn itself, until the
+// daemon closes conn, and reports an error unless the close comes about
+// timeout after start (allowing a few seconds of slack).
+func awaitClose(conn net.Conn, r io.Reader, start time.Time, timeout time.Duration, what string) error {
+	if err := conn.SetReadDeadline(start.Add(timeout + 5*time.Second)); err != nil {
+		return err
+	}
+	_, err := io.ReadAll(r) // returns at the daemon's close or our deadline
 	elapsed := time.Since(start)
 	switch {
 	case errors.Is(err, os.ErrDeadlineExceeded):
-		return fmt.Errorf("daemon still held a connection with stalled headers after %v", elapsed)
-	case elapsed < readHeaderTimeout-time.Second:
-		return fmt.Errorf("daemon dropped the stalled connection after %v, before its %v header timeout (err=%v)", elapsed, readHeaderTimeout, err)
+		return fmt.Errorf("daemon still held %s after %v", what, elapsed)
+	case elapsed < timeout-time.Second:
+		return fmt.Errorf("daemon dropped %s after %v, before its %v timeout (err=%v)", what, elapsed, timeout, err)
 	}
 	return nil
 }

@@ -184,18 +184,11 @@ func streamJobDetail(ctx context.Context, s *gb.Scenario, workers int, tsv bool)
 	return nil
 }
 
-// sortCells orders finished cells in matrix order (scale, mode, rep).
+// sortCells orders finished cells in matrix order (scales, then modes, then
+// reps, each as the spec lists them): a cell's seed is the sweep's base seed
+// plus its matrix index.
 func sortCells(cells []gb.Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		if a.Mode != b.Mode {
-			return a.Mode < b.Mode
-		}
-		return a.Rep < b.Rep
-	})
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Seed < cells[j].Seed })
 }
 
 // streamCellMetrics runs the sweep with per-cell metrics armed and prints

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -93,5 +94,34 @@ func TestRunOneUsesRegistry(t *testing.T) {
 		if _, ok := gb.LookupExperiment(id); !ok {
 			t.Errorf("id %q listed but not resolvable", id)
 		}
+	}
+}
+
+// TestCellMetricsInMatrixOrder: -cell-metrics prints its cells in the order
+// the spec lists scales and modes, not sorted by scale value or mode name.
+func TestCellMetricsInMatrixOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "order.json")
+	spec := `{"name":"order","workload":{"kind":"synthetic","iters":4},"scales":[16,8],"modes":["NORM","GP"],"reps":1}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "-scenario", path, "-cell-metrics")
+	if err != nil {
+		t.Fatalf("-cell-metrics failed: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# cell ") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"# cell procs=16 mode=NORM rep=0 seed=1000003",
+		"# cell procs=16 mode=GP rep=0 seed=1000004",
+		"# cell procs=8 mode=NORM rep=0 seed=1000005",
+		"# cell procs=8 mode=GP rep=0 seed=1000006",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("cell order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -1,12 +1,13 @@
-// Failure scenario on NPB CG: a group of nodes fails mid-run. With
-// group-based checkpointing only that group rolls back and out-of-group
-// peers replay their logged messages; with global coordinated checkpointing
-// every process rolls back. This example quantifies the paper's motivating
+// Failure scenario on NPB CG: a node fails mid-run. With group-based
+// checkpointing only its group rolls back and out-of-group peers replay
+// their logged messages; with global coordinated checkpointing every
+// process rolls back. This example quantifies the paper's motivating
 // argument — "recovery by a global restart would lose all the useful work
 // done by normal processes".
 //
-// It also demonstrates a user-defined gb.Observer: the failure probe hooks
-// the world before launch, composing with the built-in observers.
+// It also demonstrates a user-defined gb.Observer: the failure report
+// prints each run's evaluated failures once the run completes, composing
+// with the built-in observers.
 //
 //	go run ./examples/cgfailure
 package main
@@ -17,23 +18,26 @@ import (
 	"log"
 
 	"repro/gb"
-	"repro/internal/failure"
 )
 
-// probeObserver arms a failure probe on the world before launch — a
+// failureReport prints a run's injected failures after the run — a
 // user-defined observer: anything with BeforeRun/AfterRun slots into
 // gb.WithObserver alongside the built-ins.
-type probeObserver struct {
-	at    gb.Time
-	probe failure.Probe
-}
+type failureReport struct{ setup string }
 
-func (o *probeObserver) BeforeRun(env *gb.RunEnv) gb.Tracer {
-	o.probe.Arm(env.World, o.at)
-	return nil
-}
+func (o failureReport) BeforeRun(*gb.RunEnv) gb.Tracer { return nil }
 
-func (o *probeObserver) AfterRun(*gb.Result) {}
+func (o failureReport) AfterRun(res *gb.Result) {
+	for _, out := range res.Failures {
+		fmt.Printf("\n%s — node %d fails at %v, taking group %d (%v) down:\n",
+			o.setup, out.FailedNode, out.At, out.FailedGroup, out.FailedRanks)
+		fmt.Printf("  work lost (failed group rolls back):  %v\n", out.WorkLossGrp)
+		fmt.Printf("  work lost if restart were global:     %v\n", out.WorkLossGlb)
+		fmt.Printf("  work saved by group-based recovery:   %v\n", out.WorkSaved())
+		fmt.Printf("  replay to the group: %d bytes over %d peer sessions\n",
+			out.ReplayBytes, out.ReplayPairs)
+	}
+}
 
 func main() {
 	ctx := context.Background()
@@ -53,8 +57,11 @@ func main() {
 	f := gb.GroupsFromComm(comm.Matrix(), n, 0)
 	fmt.Printf("CG groups from trace: %v\n", f.Groups)
 
-	ckptAt := 4 * gb.Second
-	failAt := 12 * gb.Second
+	// One failure, after the only checkpoint. The failure process is
+	// seeded apart from the run, so the same node fails at the same
+	// instant under both protocols.
+	fail := gb.PoissonFailures(12)
+	fail.Seed, fail.Max = 7, 1
 	for _, setup := range []struct {
 		name string
 		opts []gb.Option
@@ -62,26 +69,14 @@ func main() {
 		{"group-based (GP)", []gb.Option{gb.WithMode(gb.GP), gb.WithFormation(f)}},
 		{"global (NORM)", []gb.Option{gb.WithMode(gb.NORM)}},
 	} {
-		pr := &probeObserver{at: failAt}
 		opts := append([]gb.Option{
 			gb.WithSeed(3),
-			gb.WithSchedule(gb.Schedule{At: ckptAt}),
-			gb.WithObserver(pr),
+			gb.WithSchedule(gb.Schedule{At: 4 * gb.Second}),
+			gb.WithFailures(fail),
+			gb.WithObserver(failureReport{setup.name}),
 		}, setup.opts...)
-		res, err := gb.Run(ctx, wl, opts...)
-		if err != nil {
+		if _, err := gb.Run(ctx, wl, opts...); err != nil {
 			log.Fatal(err)
 		}
-		out, err := failure.Evaluate(&pr.probe, res.Formation, res.Snapshots, res.Logs, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\n%s — group %d (%v) fails at %v:\n",
-			setup.name, out.FailedGroup, out.FailedRanks, failAt)
-		fmt.Printf("  work lost (failed group rolls back):  %v\n", out.WorkLossGrp)
-		fmt.Printf("  work lost if restart were global:     %v\n", out.WorkLossGlb)
-		fmt.Printf("  work saved by group-based recovery:   %v\n", out.WorkSaved())
-		fmt.Printf("  replay to the group: %d bytes over %d peer sessions\n",
-			out.ReplayBytes, out.ReplayPairs)
 	}
 }

@@ -4,8 +4,8 @@ package core
 // state across all ranks and epochs.
 func (v *VCL) ChannelLogged() int64 {
 	var b int64
-	for _, st := range v.states {
-		b += st.chanLogged
+	for _, c := range v.chanLogged {
+		b += c
 	}
 	return b
 }

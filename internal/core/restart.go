@@ -28,15 +28,18 @@ type RestartSpec struct {
 	RemoteServers int
 	ServerNIC     float64
 	ServerDisk    float64
-
-	// RebuildDelay is the fixed cost of recreating the process space and
-	// updating the MPI runtime's internal structures.
-	RebuildDelay sim.Time
-	// PeerCost is the per-peer cost of the RX/SX exchange (socket setup,
-	// replay determination), mirroring the per-channel quiesce cost of
-	// checkpointing. Defaults to 25 ms.
-	PeerCost sim.Time
 }
+
+// Calibrated costs of a restart.
+const (
+	// rebuildDelay is the fixed cost of recreating the process space and
+	// updating the MPI runtime's internal structures.
+	rebuildDelay = 50 * sim.Millisecond
+	// restartPeerCost is the per-peer cost of the RX/SX exchange (socket
+	// setup, replay determination), mirroring the per-channel quiesce
+	// cost of checkpointing.
+	restartPeerCost = 25 * sim.Millisecond
+)
 
 // RestartRecord is one rank's restart measurement.
 type RestartRecord struct {
@@ -91,12 +94,6 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 			return RestartOutcome{}, fmt.Errorf("core: rank %d has no snapshot to restart from", i)
 		}
 	}
-	if spec.RebuildDelay == 0 {
-		spec.RebuildDelay = 50 * sim.Millisecond
-	}
-	if spec.PeerCost == 0 {
-		spec.PeerCost = 25 * sim.Millisecond
-	}
 	k := sim.NewKernel(spec.Seed)
 	defer k.Shutdown()
 	c := cluster.New(k, spec.N, spec.ClusterCfg)
@@ -135,7 +132,7 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 
 			// 1. Load the image and rebuild the process space.
 			store.Read(p, r.Node, snap.ImageBytes)
-			r.Node.Delay(p, spec.RebuildDelay)
+			r.Node.Delay(p, rebuildDelay)
 
 			// 2. RX/SX exchange with out-of-group peers.
 			peers := make([]int, 0, len(peerSets[i]))
@@ -151,7 +148,7 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 			theirRecvd := map[int]int64{}
 			for _, q := range peers {
 				m := r.CtrlRecv(p, q, tagRxSx)
-				r.Node.Delay(p, spec.PeerCost) // per-peer exchange work
+				r.Node.Delay(p, restartPeerCost) // per-peer exchange work
 				v := m.Payload.([2]int64)
 				theirSent[m.Src], theirRecvd[m.Src] = v[0], v[1]
 			}
@@ -184,8 +181,7 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 			}
 
 			// 4. Synchronize with group members and resume.
-			members := spec.Formation.Members(i)
-			restartBarrier(p, r, members)
+			ctrlBarrier(p, r, spec.Formation.Members(i), tagBarrierBase+0x7000)
 			rec.End = p.Now()
 			records[i] = rec
 		})
@@ -204,26 +200,4 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// restartBarrier is a dissemination barrier over the control plane used by
-// restarting ranks (no engine state needed).
-func restartBarrier(p *sim.Proc, r *mpi.Rank, members []int) {
-	n := len(members)
-	if n <= 1 {
-		return
-	}
-	me := -1
-	for i, m := range members {
-		if m == r.ID {
-			me = i
-			break
-		}
-	}
-	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
-		to := members[(me+k)%n]
-		from := members[(me-k+n)%n]
-		r.CtrlSend(p, to, tagBarrierBase+0x7000+round, bookmarkBytes, nil)
-		r.CtrlRecv(p, from, tagBarrierBase+0x7000+round)
-	}
 }

@@ -23,14 +23,10 @@ func BenchmarkCheckpointRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		k := sim.NewKernel(1)
-		ccfg := cluster.Modern()
-		w := mpi.NewWorld(k, cluster.New(k, n, ccfg), n)
-		k.SetPartitions(nparts, ccfg.Latency)
+		w := mpi.NewWorld(k, cluster.New(k, n, cluster.Modern()), n)
 		w.SetPartitions(partOf, nparts)
 		wl := workload.NewSynthetic(n, 8)
-		cfg := DefaultConfig(f, wl.ImageBytes)
-		cfg.Partitions = partOf
-		e := NewEngine(w, cfg)
+		e := NewEngine(w, DefaultConfig(f, wl.ImageBytes))
 		e.ScheduleAt(5 * sim.Millisecond)
 		w.Launch(wl.Body)
 		b.StartTimer()

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
+	"repro/internal/group"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -29,36 +28,14 @@ import (
 // emergent here: nothing in this implementation schedules blocking; it
 // falls out of NIC backpressure plus server queueing.
 type VCL struct {
-	w          *mpi.World
+	controller
 	store      cluster.Storage
 	imageBytes func(int) int64
 
-	// OnRecord, when non-nil, receives each rank's completed checkpoint
-	// record the moment the rank finishes its dump and marker collection —
-	// the VCL counterpart of Config.OnRecord on the group engine, so
-	// ckpt_* metrics cover mode comparisons end to end. It runs in the
-	// checkpointing daemon's context and must not block. Set it before
-	// the first scheduled checkpoint.
-	OnRecord func(ckpt.Record)
-
-	states   []*vclState
-	records  []ckpt.Record
-	epochs   int
-	epochSeq int
-
-	epochSpans []Span
-}
-
-type vclState struct {
-	r *mpi.Rank
-
-	// Channel-state recording: markers outstanding and bytes logged since
-	// this rank's snapshot.
-	recording    bool
-	markersLeft  int
-	rxAtSnapshot []int64
-	chanLogged   int64
-	snap         *ckpt.Snapshot
+	// chanLogged[rank] is the bytes recorded as channel state; recording
+	// is true while the rank collects markers.
+	chanLogged []int64
+	recording  []bool
 }
 
 // NewVCL installs the VCL protocol on a world. store is usually a
@@ -67,40 +44,18 @@ func NewVCL(w *mpi.World, store cluster.Storage, imageBytes func(int) int64) *VC
 	if imageBytes == nil {
 		imageBytes = func(int) int64 { return 0 }
 	}
-	v := &VCL{w: w, store: store, imageBytes: imageBytes}
-	for _, r := range w.Ranks {
-		v.states = append(v.states, &vclState{r: r})
+	v := &VCL{
+		store: store, imageBytes: imageBytes,
+		chanLogged: make([]int64, w.N),
+		recording:  make([]bool, w.N),
 	}
 	w.Hooks = v
-	for _, st := range v.states {
-		st := st
-		w.K.SpawnDaemon(fmt.Sprintf("vcld%d", st.r.ID), func(p *sim.Proc) {
-			v.daemon(st, p)
-		})
-	}
+	v.start(w, group.Global(w.N).Groups, v.checkpoint)
 	return v
 }
 
 // Name implements the protocol interface.
 func (v *VCL) Name() string { return "VCL" }
-
-// Records returns per-rank checkpoint records.
-func (v *VCL) Records() []ckpt.Record { return v.records }
-
-// Epochs returns completed checkpoint epochs.
-func (v *VCL) Epochs() int { return v.epochs }
-
-// EpochSpans returns the controller-observed checkpoint spans.
-func (v *VCL) EpochSpans() []Span { return v.epochSpans }
-
-// Snapshots returns the latest per-rank snapshots.
-func (v *VCL) Snapshots() []*ckpt.Snapshot {
-	out := make([]*ckpt.Snapshot, len(v.states))
-	for i, st := range v.states {
-		out[i] = st.snap
-	}
-	return out
-}
 
 // BeforeSend implements mpi.Hooks (no sender-side work in VCL).
 func (v *VCL) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time { return 0 }
@@ -109,22 +64,14 @@ func (v *VCL) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time { return 0 }
 // channel state (they arrived after our snapshot but belong before the
 // sender's marker).
 func (v *VCL) OnDeliver(d *mpi.Rank, m *mpi.Msg) {
-	st := v.states[d.ID]
-	if st.recording {
-		st.chanLogged += m.Bytes
+	if v.recording[d.ID] {
+		v.chanLogged[d.ID] += m.Bytes
 	}
 }
 
-func (v *VCL) daemon(st *vclState, p *sim.Proc) {
-	for {
-		m := st.r.CtrlRecv(p, mpi.AnySource, tagCkptReq)
-		epoch := m.Payload.(int)
-		v.checkpoint(st, p, epoch, m.Src)
-	}
-}
-
-func (v *VCL) checkpoint(st *vclState, p *sim.Proc, epoch, replyTo int) {
-	r := st.r
+// checkpoint runs one rank's side of a VCL checkpoint and hands the result
+// to finish.
+func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 	n := v.w.N
 	start := p.Now()
 
@@ -134,14 +81,7 @@ func (v *VCL) checkpoint(st *vclState, p *sim.Proc, epoch, replyTo int) {
 	r.Gate.Close()
 	r.SendGate.Close()
 	r.Node.Delay(p, 100*sim.Millisecond)
-	st.rxAtSnapshot = make([]int64, n)
-	for q := 0; q < n; q++ {
-		if q != r.ID {
-			st.rxAtSnapshot[q] = r.RecvdBytes(q)
-		}
-	}
-	st.recording = true
-	st.markersLeft = n - 1
+	v.recording[r.ID] = true
 	tag := tagMarkerBase + epoch
 	for q := 0; q < n; q++ {
 		if q != r.ID {
@@ -163,21 +103,21 @@ func (v *VCL) checkpoint(st *vclState, p *sim.Proc, epoch, replyTo int) {
 	v.store.Write(p, r.Node, img)
 	tWrite := p.Now()
 
-	// 3. Collect markers; receives between our snapshot and each
+	// 3. Collect the n−1 markers; receives between our snapshot and each
 	// peer's marker were recorded as channel state by OnDeliver.
-	for left := st.markersLeft; left > 0; left-- {
+	for range n - 1 {
 		r.CtrlRecv(p, mpi.AnySource, tag)
 	}
-	st.recording = false
+	v.recording[r.ID] = false
 	end := p.Now()
 
-	st.snap = &ckpt.Snapshot{
+	snap := &ckpt.Snapshot{
 		Rank: r.ID, Epoch: epoch, At: tCut,
 		ImageBytes: img,
 		SentTo:     map[int]int64{},
 		RecvdFrom:  map[int]int64{},
 	}
-	rec := ckpt.Record{
+	v.finish(p, r, snap, ckpt.Record{
 		Rank: r.ID, Epoch: epoch, Start: start, End: end,
 		Stages: ckpt.Breakdown{
 			ckpt.StageLock:     tCut - start,
@@ -186,65 +126,5 @@ func (v *VCL) checkpoint(st *vclState, p *sim.Proc, epoch, replyTo int) {
 			ckpt.StageFinalize: 0,
 		},
 		ImageBytes: img,
-	}
-	v.records = append(v.records, rec)
-	if v.OnRecord != nil {
-		v.OnRecord(rec)
-	}
-	r.CtrlSend(p, replyTo, tagCkptDoneBase+epoch, doneBytes, epoch)
-}
-
-// ScheduleAt triggers one checkpoint of all ranks at time t.
-func (v *VCL) ScheduleAt(t sim.Time) {
-	v.w.K.At(t, func() {
-		v.w.K.SpawnDaemon("mpirun-vcl", func(p *sim.Proc) {
-			v.runEpoch(p)
-		})
-	})
-}
-
-// SchedulePeriodic checkpoints every interval from start until the
-// application finishes or maxCount epochs complete (0 = unlimited) — the
-// paper triggers VCL every 30 s (Figure 2) or 120 s (Section 5.3).
-func (v *VCL) SchedulePeriodic(start, interval sim.Time, maxCount int) {
-	v.w.K.At(0, func() {
-		v.w.K.SpawnDaemon("mpirun-vcl", func(p *sim.Proc) {
-			next := start
-			for i := 0; maxCount == 0 || i < maxCount; i++ {
-				p.HoldUntil(next)
-				if v.appFinished() {
-					return
-				}
-				v.runEpoch(p)
-				next += interval
-				if now := p.Now(); next < now {
-					next = now
-				}
-			}
-		})
-	})
-}
-
-func (v *VCL) appFinished() bool {
-	for _, r := range v.w.Ranks {
-		if !r.Finished {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *VCL) runEpoch(p *sim.Proc) {
-	epoch := v.epochSeq
-	v.epochSeq++
-	head := v.w.Ranks[0]
-	from := p.Now()
-	for q := 0; q < v.w.N; q++ {
-		head.CtrlSend(p, q, tagCkptReq, reqBytes, epoch)
-	}
-	for q := 0; q < v.w.N; q++ {
-		head.CtrlRecv(p, mpi.AnySource, tagCkptDoneBase+epoch)
-	}
-	v.epochs++
-	v.epochSpans = append(v.epochSpans, Span{From: from, To: p.Now()})
+	}, replyTo)
 }

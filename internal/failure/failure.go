@@ -4,58 +4,16 @@
 // system keeps its work — whereas a global coordinated checkpoint rolls
 // every process back to the last global checkpoint.
 //
-// A Probe captures the live communication state at the failure instant;
-// Evaluate then computes the work lost and recovery traffic under group
-// restart versus global restart.
+// An Injector drives a failure Process against a running world and
+// evaluates each failure at its instant: the work lost and the recovery
+// traffic under group restart versus global restart.
 package failure
 
-import (
-	"fmt"
-
-	"repro/internal/ckpt"
-	"repro/internal/group"
-	"repro/internal/mlog"
-	"repro/internal/mpi"
-	"repro/internal/sim"
-)
-
-// Probe captures per-rank communication counters at a failure instant.
-type Probe struct {
-	At       sim.Time
-	armed    bool
-	Captured bool
-	SentTo   [][]int64 // [rank][peer] bytes pushed at the failure instant
-	Recvd    [][]int64 // [rank][peer] bytes consumed at the failure instant
-}
-
-// Arm schedules the capture at t on a world. Call before the kernel runs.
-// The capture is a global (barrier-synchronized) event, so it reads a
-// consistent cross-rank state even on a partitioned kernel.
-func (pr *Probe) Arm(w *mpi.World, t sim.Time) {
-	pr.At = t
-	pr.armed = true
-	w.K.GlobalAt(t, func() {
-		n := w.N
-		pr.SentTo = make([][]int64, n)
-		pr.Recvd = make([][]int64, n)
-		for i, r := range w.Ranks {
-			pr.SentTo[i] = make([]int64, n)
-			pr.Recvd[i] = make([]int64, n)
-			for q := 0; q < n; q++ {
-				if q == i {
-					continue
-				}
-				pr.SentTo[i][q] = r.SentBytes(q)
-				pr.Recvd[i][q] = r.AppRecvdBytes(q)
-			}
-		}
-		pr.Captured = true
-	})
-}
+import "repro/internal/sim"
 
 // Outcome compares group restart against global restart for one failure.
 type Outcome struct {
-	FailedNode   int // the node that failed (-1 when unknown, e.g. Evaluate)
+	FailedNode   int // the node that failed
 	FailedGroup  int
 	FailedRanks  []int
 	At           sim.Time
@@ -64,75 +22,6 @@ type Outcome struct {
 	ReplayBytes  int64    // log bytes alive peers must replay to the group
 	ReplayPairs  int      // directed (peer → failed rank) replay sessions
 	LogHeldBytes int64    // log bytes currently held for the failed ranks
-}
-
-// Evaluate computes the failure outcome from the captured probe, the latest
-// snapshots, and the sender logs. It does not simulate the recovery's wall
-// time (see core.SimulateRestart for that); it quantifies what the paper's
-// argument is about — work preserved and replay volume bounded by logs.
-func Evaluate(pr *Probe, f group.Formation, snaps []*ckpt.Snapshot, logs []*mlog.Set, failedGroup int) (Outcome, error) {
-	if !pr.Captured {
-		return Outcome{}, fmt.Errorf("failure: probe never captured (failure time beyond execution?)")
-	}
-	if failedGroup < 0 || failedGroup >= len(f.Groups) {
-		return Outcome{}, fmt.Errorf("failure: no group %d", failedGroup)
-	}
-	out := Outcome{FailedNode: -1, FailedGroup: failedGroup, At: pr.At}
-	out.FailedRanks = append(out.FailedRanks, f.Groups[failedGroup]...)
-	failed := map[int]bool{}
-	for _, r := range out.FailedRanks {
-		if snaps[r] == nil {
-			return Outcome{}, fmt.Errorf("failure: rank %d has no checkpoint", r)
-		}
-		failed[r] = true
-	}
-	for r, s := range snaps {
-		if s == nil {
-			continue
-		}
-		loss := pr.At - s.At
-		if loss < 0 {
-			loss = 0
-		}
-		out.WorkLossGlb += loss
-		if failed[r] {
-			out.WorkLossGrp += loss
-		}
-	}
-	// Replay: every alive out-of-group peer resends what it pushed to a
-	// failed rank after the failed rank's checkpoint cut (from its log).
-	for peer := range snaps {
-		if failed[peer] || logs[peer] == nil {
-			continue
-		}
-		for _, fr := range out.FailedRanks {
-			if f.SameGroup(peer, fr) {
-				continue
-			}
-			have := snaps[fr].RecvdFrom[peer]
-			now := pr.SentTo[peer][fr]
-			if now > have {
-				plan := logs[peer].Replay(fr, have, now)
-				out.ReplayBytes += plan.Bytes
-				out.ReplayPairs++
-			}
-		}
-	}
-	// Log bytes held on behalf of the failed ranks (storage the protocol
-	// must retain until the next checkpoint garbage-collects it).
-	for peer := range snaps {
-		if failed[peer] || logs[peer] == nil {
-			continue
-		}
-		for _, fr := range out.FailedRanks {
-			if l := logs[peer].Get(fr); l != nil {
-				for _, e := range l.Entries {
-					out.LogHeldBytes += e.Bytes
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // WorkSaved returns the work a group restart preserves compared with a

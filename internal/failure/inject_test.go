@@ -82,6 +82,24 @@ func TestInjectorGlobalFormationSavesNothing(t *testing.T) {
 	}
 }
 
+// TestReplayBoundedByLogs: at every injected failure, what out-of-group
+// peers replay to the failed group is covered by the log bytes they hold
+// toward it, and replayed bytes come over at least one peer session.
+func TestReplayBoundedByLogs(t *testing.T) {
+	outs, _ := runInjected(t, group.Fixed(8, 4), 3*sim.Second, 5)
+	if len(outs) == 0 {
+		t.Fatal("no failures injected")
+	}
+	for i, o := range outs {
+		if o.ReplayBytes > o.LogHeldBytes {
+			t.Errorf("failure %d: replay %d exceeds the %d bytes logged toward the failed ranks", i, o.ReplayBytes, o.LogHeldBytes)
+		}
+		if o.ReplayBytes > 0 && o.ReplayPairs == 0 {
+			t.Errorf("failure %d: replay bytes without replay pairs", i)
+		}
+	}
+}
+
 func TestInjectorFailureBeforeFirstCheckpointRestartsFromZero(t *testing.T) {
 	const n = 4
 	k := sim.NewKernel(2)

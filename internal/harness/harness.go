@@ -256,7 +256,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// exists, so resolve the formation first: it honors ctx like the
 	// measured run does, and its errors are spec errors, not run errors.
 	var f group.Formation
-	if spec.Mode != VCL && spec.Mode != None {
+	if spec.Mode != None {
 		var err error
 		if f, err = formationFor(ctx, spec); err != nil {
 			return nil, err
@@ -297,7 +297,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// run no group engine — both stay serial. Tracer-armed runs keep the
 	// partitioned schedule but execute windows one at a time: tracers are
 	// unsynchronized, and observation must not change the table.
-	partMap := partitionRun(spec, f, n, k, w, len(tracers) > 0)
+	partitionRun(spec, f, n, w, len(tracers) > 0)
 
 	var store cluster.Storage = cluster.LocalDisk{}
 	if spec.RemoteServers > 0 {
@@ -309,84 +309,64 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 	}
 
-	res := &Result{Spec: spec, N: n}
-
-	schedule := func(at func(sim.Time), periodic func(sim.Time, sim.Time, int)) {
+	var proto protocol
+	var engine *core.Engine
+	switch spec.Mode {
+	case None:
+	case VCL:
+		proto = core.NewVCL(w, store, wl.ImageBytes)
+	default:
+		cfg := core.DefaultConfig(f, wl.ImageBytes)
+		cfg.Store = store
+		cfg.OnCut = fanOut(env.onCut)
+		engine = core.NewEngine(w, cfg)
+		proto = engine
+	}
+	if proto != nil {
+		proto.OnRecord(fanOut(env.onRecord))
 		if spec.Sched.At > 0 {
-			at(spec.Sched.At)
+			proto.ScheduleAt(spec.Sched.At)
 		}
 		if spec.Sched.Interval > 0 {
 			start := spec.Sched.Start
 			if start == 0 {
 				start = spec.Sched.Interval
 			}
-			periodic(start, spec.Sched.Interval, spec.Sched.MaxCount)
+			proto.SchedulePeriodic(start, spec.Sched.Interval, spec.Sched.MaxCount)
 		}
 	}
-
-	runKernel := func() error {
-		if err := k.Run(); err != nil {
-			if errors.Is(err, sim.ErrCanceled) {
-				return fmt.Errorf("harness: %s/%s: %w", wl.Name(), spec.Mode, ErrCanceled)
-			}
-			return fmt.Errorf("harness: %s/%s: %w", wl.Name(), spec.Mode, err)
+	var inj *failure.Injector
+	if spec.FailureProc != nil { // validate admits it under the group engine only
+		seed := spec.FailureSeed
+		if seed == 0 {
+			seed = spec.Seed ^ 0x5DEECE66D // decorrelate from the kernel stream
 		}
-		return nil
+		inj = failure.NewInjector(w, f, engine, spec.FailureProc, seed, spec.MaxFailures)
+		inj.OnOutcome = fanOut(env.onFailure)
+		inj.Arm()
+	}
+	w.Launch(wl.Body)
+	if err := k.Run(); err != nil {
+		if errors.Is(err, sim.ErrCanceled) {
+			err = ErrCanceled
+		}
+		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name(), spec.Mode, err)
 	}
 
-	switch spec.Mode {
-	case None:
-		w.Launch(wl.Body)
-		if err := runKernel(); err != nil {
-			return nil, err
-		}
-		res.Name = "none"
-	case VCL:
-		v := core.NewVCL(w, store, wl.ImageBytes)
-		v.OnRecord = env.recordHook()
-		schedule(v.ScheduleAt, v.SchedulePeriodic)
-		w.Launch(wl.Body)
-		if err := runKernel(); err != nil {
-			return nil, err
-		}
-		res.Name = v.Name()
-		res.Records = v.Records()
-		res.Snapshots = v.Snapshots()
-		res.Formation = group.Global(n)
-		res.Epochs = v.Epochs()
-		res.Spans = v.EpochSpans()
-	default:
-		cfg := core.DefaultConfig(f, wl.ImageBytes)
-		cfg.Store = store
-		cfg.OnCut = env.cutHook()
-		cfg.OnRecord = env.recordHook()
-		cfg.Partitions = partMap
-		e := core.NewEngine(w, cfg)
-		schedule(e.ScheduleAt, e.SchedulePeriodic)
-		var inj *failure.Injector
-		if spec.FailureProc != nil {
-			seed := spec.FailureSeed
-			if seed == 0 {
-				seed = spec.Seed ^ 0x5DEECE66D // decorrelate from the kernel stream
-			}
-			inj = failure.NewInjector(w, f, e, spec.FailureProc, seed, spec.MaxFailures)
-			inj.OnOutcome = env.failureHook()
-			inj.Arm()
-		}
-		w.Launch(wl.Body)
-		if err := runKernel(); err != nil {
-			return nil, err
-		}
-		if inj != nil {
-			res.Failures = inj.Outcomes()
-		}
-		res.Name = e.Name()
-		res.Records = e.Records()
-		res.Snapshots = e.Snapshots()
-		res.Logs = e.LogSets()
+	res := &Result{Spec: spec, N: n, Name: "none"}
+	if proto != nil {
+		res.Name = proto.Name()
+		res.Records = proto.Records()
+		res.Snapshots = proto.Snapshots()
 		res.Formation = f
-		res.Epochs = e.Epochs()
-		res.Spans = e.EpochSpans()
+		res.Epochs = proto.Epochs()
+		res.Spans = proto.EpochSpans()
+	}
+	if engine != nil {
+		res.Logs = engine.LogSets()
+	}
+	if inj != nil {
+		res.Failures = inj.Outcomes()
 	}
 
 	if spec.Horizon > 0 {
@@ -410,10 +390,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 }
 
 // partitionRun decides whether the run is partitioned and, if so, installs
-// the plan on the kernel and world, returning the rank→partition map for
-// the engine (nil when serial). Must run after the world is built and
-// before any process is spawned.
-func partitionRun(spec Spec, f group.Formation, n int, k *sim.Kernel, w *mpi.World, traced bool) []int {
+// the plan on the world (which splits its kernel). Must run after the world
+// is built and before any process is spawned.
+func partitionRun(spec Spec, f group.Formation, n int, w *mpi.World, traced bool) {
 	minRanks := spec.PartitionMinRanks
 	if minRanks == 0 {
 		minRanks = DefaultPartitionMinRanks
@@ -421,20 +400,31 @@ func partitionRun(spec Spec, f group.Formation, n int, k *sim.Kernel, w *mpi.Wor
 	if minRanks < 0 || n < minRanks ||
 		spec.Mode == VCL || spec.Mode == None ||
 		spec.RemoteServers > 0 || spec.Cluster.Latency <= 0 {
-		return nil
+		return
 	}
 	partOf, nparts := core.PartitionPlan(f, MaxPartitions)
 	if nparts <= 1 {
-		return nil
+		return
 	}
-	k.SetPartitions(nparts, spec.Cluster.Latency)
 	w.SetPartitions(partOf, nparts)
 	workers := spec.RunWorkers
 	if traced {
 		workers = 1
 	}
-	k.SetRunWorkers(workers)
-	return partOf
+	w.K.SetRunWorkers(workers)
+}
+
+// protocol is the checkpoint protocol Run drives: core.Engine for the group
+// modes, core.VCL for the baseline.
+type protocol interface {
+	Name() string
+	OnRecord(fn func(ckpt.Record))
+	ScheduleAt(t sim.Time)
+	SchedulePeriodic(start, interval sim.Time, maxCount int)
+	Records() []ckpt.Record
+	Snapshots() []*ckpt.Snapshot
+	Epochs() int
+	EpochSpans() []core.Span
 }
 
 // Restart simulates a whole-application restart from the run's latest
@@ -454,14 +444,15 @@ func Restart(res *Result, seed int64) (core.RestartOutcome, error) {
 	})
 }
 
-// formationFor resolves the group formation for a group-based mode. GP runs
+// formationFor resolves the group formation for a checkpointing mode (VCL's
+// is the global one its checkpoints coordinate). GP runs
 // (and caches) a tracing pass of the workload, then applies the paper's
 // Algorithm 2 — the cmd/gbtrace → cmd/gbgroup pipeline in-process — unless
 // the spec carries a formation override (a group definition file).
 func formationFor(ctx context.Context, spec Spec) (group.Formation, error) {
 	n := spec.WL.Procs()
 	switch spec.Mode {
-	case NORM:
+	case NORM, VCL:
 		return group.Global(n), nil
 	case GP1:
 		return group.Singletons(n), nil

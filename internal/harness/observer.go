@@ -50,53 +50,18 @@ func (e *RunEnv) OnRecord(fn func(ckpt.Record)) { e.onRecord = append(e.onRecord
 // FailureProc.
 func (e *RunEnv) OnFailure(fn func(failure.Outcome)) { e.onFailure = append(e.onFailure, fn) }
 
-// cutHook folds the registered cut callbacks into the single core.Config
-// hook (nil when nothing registered, so the engine skips the work).
-func (e *RunEnv) cutHook() func(core.Cut) {
-	switch len(e.onCut) {
+// fanOut folds registered callbacks into the single hook an engine or
+// injector takes (nil when nothing registered, so it skips the work).
+func fanOut[T any](fns []func(T)) func(T) {
+	switch len(fns) {
 	case 0:
 		return nil
 	case 1:
-		return e.onCut[0]
+		return fns[0]
 	}
-	hooks := e.onCut
-	return func(c core.Cut) {
-		for _, fn := range hooks {
-			fn(c)
-		}
-	}
-}
-
-// recordHook folds the registered record callbacks into the single
-// core.Config hook (nil when nothing registered).
-func (e *RunEnv) recordHook() func(ckpt.Record) {
-	switch len(e.onRecord) {
-	case 0:
-		return nil
-	case 1:
-		return e.onRecord[0]
-	}
-	hooks := e.onRecord
-	return func(r ckpt.Record) {
-		for _, fn := range hooks {
-			fn(r)
-		}
-	}
-}
-
-// failureHook folds the registered failure callbacks into the injector's
-// single hook (nil when nothing registered).
-func (e *RunEnv) failureHook() func(failure.Outcome) {
-	switch len(e.onFailure) {
-	case 0:
-		return nil
-	case 1:
-		return e.onFailure[0]
-	}
-	hooks := e.onFailure
-	return func(o failure.Outcome) {
-		for _, fn := range hooks {
-			fn(o)
+	return func(v T) {
+		for _, fn := range fns {
+			fn(v)
 		}
 	}
 }

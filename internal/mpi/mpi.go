@@ -109,7 +109,7 @@ type World struct {
 	// exactly the old single-list invariant, per partition.
 	shards []shard
 
-	// arrive is the pre-bound delivery handler passed to sim.Kernel.At1,
+	// arrive is the pre-bound delivery handler passed to sim.Kernel.PartAt1,
 	// built once so the per-message schedule allocates nothing.
 	// arriveRemote is its cross-partition prologue: it fires in the
 	// destination partition at wire-available time and books the
@@ -175,17 +175,21 @@ func (w *World) Stats() Stats {
 	return s
 }
 
-// part returns the kernel partition rank runs in (0 on a serial world).
-func (w *World) part(rank int) int {
+// Part returns the kernel partition rank runs in (0 on a serial world).
+func (w *World) Part(rank int) int {
 	if w.partOf == nil {
 		return 0
 	}
 	return w.partOf[rank]
 }
 
-// SetPartitions installs the rank→partition map, matching a prior
-// kernel-side SetPartitions. Call before Launch; partOf must map every rank
-// to [0, nparts). nparts ≤ 1 (or not calling at all) keeps the serial world.
+// Parts returns the number of kernel partitions (1 on a serial world).
+func (w *World) Parts() int { return max(w.nparts, 1) }
+
+// SetPartitions splits the world's kernel into nparts partitions, with the
+// cluster's network latency as lookahead, and installs the rank→partition
+// map. Call before anything is spawned; partOf must map every rank to
+// [0, nparts). nparts ≤ 1 (or not calling at all) keeps the serial world.
 func (w *World) SetPartitions(partOf []int, nparts int) {
 	if nparts <= 1 {
 		return
@@ -193,6 +197,7 @@ func (w *World) SetPartitions(partOf []int, nparts int) {
 	if len(partOf) != w.N {
 		panic("mpi: partition map length != world size")
 	}
+	w.K.SetPartitions(nparts, w.C.Cfg.Latency)
 	w.partOf, w.nparts = partOf, nparts
 	w.shards = make([]shard, nparts)
 	w.finCount = make([]int, nparts)
@@ -344,7 +349,7 @@ func (w *World) Free(m *Msg) {
 	// The freeing context is the receiver's: envelopes are freed after
 	// Recv, so shard by the destination's partition — read before the
 	// envelope is cleared.
-	sh := &w.shards[w.part(m.Dst)]
+	sh := &w.shards[w.Part(m.Dst)]
 	if m.pooled {
 		sh.stats.DoubleFrees++
 		return
@@ -360,7 +365,7 @@ func (w *World) Free(m *Msg) {
 func (w *World) Launch(body func(r *Rank)) {
 	for _, r := range w.Ranks {
 		r := r
-		part := w.part(r.ID)
+		part := w.Part(r.ID)
 		r.Proc = w.K.SpawnIn(part, fmt.Sprintf("rank%d", r.ID), func(p *sim.Proc) {
 			body(r)
 			r.FinishTime = p.Now()
@@ -399,9 +404,6 @@ type Rank struct {
 
 	FinishTime sim.Time
 	Finished   bool
-
-	// Protocol-private per-rank state (set by the installed protocol).
-	Ext any
 }
 
 // SentBytes returns the application bytes this rank has pushed into the
@@ -473,4 +475,4 @@ func (r *Rank) ForEachPeer(f func(peer int, sent, appRecvd int64)) {
 }
 
 // Now returns the current virtual time of the rank's partition.
-func (r *Rank) Now() sim.Time { return r.W.K.PartNow(r.W.part(r.ID)) }
+func (r *Rank) Now() sim.Time { return r.W.K.PartNow(r.W.Part(r.ID)) }

@@ -10,7 +10,7 @@ func (r *Rank) Send(dst, tag int, bytes int64, payload any) {
 	p := r.Proc
 	r.Gate.Pass(p)
 	r.SendGate.Pass(p)
-	sp := r.W.part(r.ID)
+	sp := r.W.Part(r.ID)
 	m := r.W.newMsg(sp)
 	m.Src, m.Dst, m.Tag = r.ID, dst, tag
 	m.Bytes, m.Payload = bytes, payload
@@ -34,26 +34,21 @@ func (r *Rank) Send(dst, tag int, bytes int64, payload any) {
 
 // deliver pushes m through the network and schedules its arrival via the
 // world's pre-bound handlers (no per-message closure). Within a partition
-// this is the classic path; across a partition edge the sender books only
-// its own NIC and stages the message for the destination partition at
-// wire-available time — which, by construction, is at least one network
-// latency in the future, satisfying the kernel's lookahead contract.
+// (always, on a serial world) the transfer books both NICs at once; across
+// a partition edge the sender books only its own NIC and stages the message
+// for the destination partition at wire-available time — which, by
+// construction, is at least one network latency in the future, satisfying
+// the kernel's lookahead contract.
 func (r *Rank) deliver(p *sim.Proc, m *Msg) {
 	w := r.W
-	d := w.Ranks[m.Dst]
-	if w.nparts > 1 {
-		sp, dp := w.partOf[r.ID], w.partOf[m.Dst]
-		if sp != dp {
-			avail := w.C.SendSide(p, r.Node, m.Bytes)
-			w.K.CrossAt1(sp, dp, avail, w.arriveRemote, m)
-			return
-		}
-		arr := w.C.Transfer(p, r.Node, d.Node, m.Bytes)
-		w.K.PartAt1(dp, arr, w.arrive, m)
+	sp, dp := w.Part(r.ID), w.Part(m.Dst)
+	if sp != dp {
+		avail := w.C.SendSide(p, r.Node, m.Bytes)
+		w.K.CrossAt1(sp, dp, avail, w.arriveRemote, m)
 		return
 	}
-	arr := w.C.Transfer(p, r.Node, d.Node, m.Bytes)
-	w.K.At1(arr, w.arrive, m)
+	arr := w.C.Transfer(p, r.Node, w.Ranks[m.Dst].Node, m.Bytes)
+	w.K.PartAt1(dp, arr, w.arrive, m)
 }
 
 // deliverArrived runs in kernel context at the message's arrival time: it
@@ -61,7 +56,7 @@ func (r *Rank) deliver(p *sim.Proc, m *Msg) {
 // the message for the application.
 func (w *World) deliverArrived(m *Msg) {
 	d := w.Ranks[m.Dst]
-	dp := w.part(m.Dst)
+	dp := w.Part(m.Dst)
 	m.ArriveTime = w.K.PartNow(dp)
 	if !m.Ctrl {
 		w.shards[dp].stats.Delivered++
@@ -99,7 +94,7 @@ func (r *Rank) Recv(src, tag int) *Msg {
 	m := r.mbox.RecvKeyed(r.Proc, src, tag).(*Msg)
 	r.Gate.Pass(r.Proc)
 	r.addAppRecvd(m.Src, m.Bytes)
-	r.W.shards[r.W.part(r.ID)].stats.Consumed++
+	r.W.shards[r.W.Part(r.ID)].stats.Consumed++
 	if mm := r.W.metrics; mm != nil {
 		mm.Consumed.Inc()
 	}

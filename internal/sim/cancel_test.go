@@ -73,7 +73,7 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		k := NewKernel(int64(i))
 		mb := NewMailbox(k, "mb")
-		k.SpawnDaemon("daemon", func(p *Proc) {
+		k.SpawnDaemonIn(0, "daemon", func(p *Proc) {
 			for {
 				mb.RecvKeyed(p, AnyKey, 0) // parked forever: nothing sends
 			}
@@ -98,7 +98,7 @@ func TestShutdownAfterNormalRunReapsDaemons(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	mb := NewMailbox(k, "mb")
-	k.SpawnDaemon("daemon", func(p *Proc) {
+	k.SpawnDaemonIn(0, "daemon", func(p *Proc) {
 		mb.RecvKeyed(p, AnyKey, 0)
 	})
 	k.Spawn("app", func(p *Proc) { p.Hold(Millisecond) })

@@ -2,17 +2,17 @@ package sim
 
 import "testing"
 
-// TestAt1RunsPreBoundCallback checks the allocation-free callback form:
-// ordering with At events at the same instant is still FIFO by schedule
-// order, and the argument arrives intact.
+// TestAt1RunsPreBoundCallback checks the allocation-free callback form,
+// PartAt1: ordering with At events at the same instant is still FIFO by
+// schedule order, and the argument arrives intact.
 func TestAt1RunsPreBoundCallback(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	handler := func(v any) { order = append(order, v.(string)) }
 	k.At(Second, func() { order = append(order, "fn0") })
-	k.At1(Second, handler, "a")
+	k.PartAt1(0, Second, handler, "a")
 	k.At(Second, func() { order = append(order, "fn1") })
-	k.At1(Second, handler, "b")
+	k.PartAt1(0, Second, handler, "b")
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

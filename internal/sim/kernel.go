@@ -164,7 +164,7 @@ type Kernel struct {
 	// Global (barrier-synchronized) events. They execute only when every
 	// partition has consumed all events strictly before their timestamp,
 	// so a global callback observes a deterministic, fully-quiesced
-	// simulation state — failure injectors and probes run here.
+	// simulation state — failure injectors run here.
 	gq      eventHeap
 	gseq    uint64
 	gnow    Time
@@ -329,14 +329,10 @@ func (k *Kernel) PartAt(p int, t Time, fn func()) {
 	pt.eq.push(event{at: t, seq: pt.seq, fn: fn})
 }
 
-// At1 is At for a pre-bound callback taking one argument. Because fn can be
-// a long-lived closure and arg rides in the event's interface slot, a hot
-// path that schedules the same handler for every message (mpi delivery)
-// allocates nothing per call. On a partitioned kernel, At1 targets
-// partition 0; use PartAt1 or CrossAt1 elsewhere.
-func (k *Kernel) At1(t Time, fn func(any), arg any) { k.PartAt1(0, t, fn, arg) }
-
-// PartAt1 is At1 targeting partition p. The caller must be partition p's
+// PartAt1 is PartAt for a pre-bound callback taking one argument. Because
+// fn can be a long-lived closure and arg rides in the event's interface
+// slot, a hot path that schedules the same handler for every message (mpi
+// delivery) allocates nothing per call. The caller must be partition p's
 // own context (or pre-run / a global event): scheduling into a foreign
 // partition's heap mid-window is a data race — that is what CrossAt1 is for.
 func (k *Kernel) PartAt1(p int, t Time, fn func(any), arg any) {
@@ -415,14 +411,9 @@ func (k *Kernel) SpawnIn(part int, name string, fn func(p *Proc)) *Proc {
 	return k.spawn(k.parts[part], name, fn, false)
 }
 
-// SpawnDaemon is Spawn for background service processes (protocol daemons,
-// controllers). A blocked daemon does not count as a deadlock: Run returns
-// nil when only daemons remain.
-func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(k.parts[0], name, fn, true)
-}
-
-// SpawnDaemonIn is SpawnDaemon into a specific partition.
+// SpawnDaemonIn is SpawnIn for background service processes (protocol
+// daemons, controllers). A blocked daemon does not count as a deadlock: Run
+// returns nil when only daemons remain.
 func (k *Kernel) SpawnDaemonIn(part int, name string, fn func(p *Proc)) *Proc {
 	return k.spawn(k.parts[part], name, fn, true)
 }

@@ -77,9 +77,58 @@ func (c *cache) get(ctx context.Context, key string, compute func() ([]byte, err
 	}
 }
 
+// lookup returns key's finished entry without waiting and counts it as a
+// hit. It returns nil when the key is absent, still being computed, or was
+// abandoned by a canceled request: those cells go through get instead.
+func (c *cache) lookup(key string) *centry {
+	c.mu.Lock()
+	e := c.m[key]
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	select {
+	case <-e.done:
+	default:
+		return nil
+	}
+	if e.err != nil && errors.Is(e.err, gb.ErrCanceled) {
+		return nil
+	}
+	c.hits.Inc()
+	return e
+}
+
 // len reports the number of stored or in-flight entries.
 func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+// memoCap bounds the decode memo; at the cap it is cleared wholesale.
+const memoCap = 64
+
+// memo maps raw request bodies to their decoded requests, so a repeated
+// body skips JSON decoding, spec parsing, canonical hashing and cell-key
+// formatting. Only successful decodes are stored, and a stored request is
+// read-only: concurrent requests with the same body share it.
+type memo struct {
+	mu sync.Mutex
+	m  map[string]*request
+}
+
+func (m *memo) get(body []byte) *request {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[string(body)]
+}
+
+func (m *memo) put(body []byte, req *request) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil || len(m.m) >= memoCap {
+		m.m = make(map[string]*request, memoCap)
+	}
+	m.m[string(body)] = req
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -55,6 +56,7 @@ type Server struct {
 	pool     *pool
 	poolSize int
 	cache    *cache
+	memo     memo
 	mux      *http.ServeMux
 
 	// baseCtx is canceled by Abort; every request context is its child.
@@ -221,29 +223,73 @@ func writeJSON(w http.ResponseWriter, v any) {
 		writeError(w, err)
 		return
 	}
+	writeBody(w, append(body, '\n'))
+}
+
+// writeBody writes a rendered JSON body, trailing newline included.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-	w.Write([]byte("\n"))
 }
 
 // request is a decoded, validated API request: the parsed scenario, its
-// canonical key, the effective horizon, and the cell matrix.
+// canonical key, the effective horizon, the cell matrix and each cell's
+// cache key. A request is read-only once built: the decode memo shares it
+// across concurrent requests with the same body.
 type request struct {
 	sc         *gb.Scenario
 	key        string
 	horizonS   float64
 	runWorkers int
 	cells      []gb.CellKey
+	cellKeys   []string
+}
+
+// newRequest builds the request for sc's cell matrix, computing the spec
+// key and every cell's cache key once.
+func newRequest(sc *gb.Scenario, horizonS float64, runWorkers int) (*request, error) {
+	key, err := gb.SpecKey(sc)
+	if err != nil {
+		return nil, err
+	}
+	cells, err := gb.ScenarioCells(sc)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = cellCacheKey(key, horizonS, c)
+	}
+	return &request{sc: sc, key: key, horizonS: horizonS, runWorkers: runWorkers, cells: cells, cellKeys: keys}, nil
 }
 
 func badSpec(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", gb.ErrBadSpec, fmt.Sprintf(format, args...))
 }
 
+// readBody reads a request body of at most 1 MiB.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
+	if err != nil {
+		return nil, badSpec("decoding request: %v", err)
+	}
+	return body, nil
+}
+
 // decodeBody decodes a request body of at most 1 MiB into v, rejecting
 // unknown fields and trailing data.
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
+}
+
+// decodeJSON decodes body into v, rejecting unknown fields and trailing
+// data.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badSpec("decoding request: %v", err)
@@ -254,10 +300,18 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// decode parses and validates a RunRequest body.
+// decode parses and validates a RunRequest body. A body decoded before is
+// answered from the memo, so each distinct body is decoded once.
 func (s *Server) decode(r *http.Request) (*request, error) {
+	body, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	if cached := s.memo.get(body); cached != nil {
+		return cached, nil
+	}
 	var req RunRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Spec) == 0 {
@@ -277,24 +331,21 @@ func (s *Server) decode(r *http.Request) (*request, error) {
 	if err != nil {
 		return nil, badSpec("spec: %v", err)
 	}
-	key, err := gb.SpecKey(sc)
-	if err != nil {
-		return nil, err
-	}
 	// Bound the matrix before building it: Cells allocates every cell.
 	if n := sc.CellCount(); n > s.opts.MaxCells {
 		return nil, badSpec("scenario %q has %d cells; this daemon accepts at most %d",
 			sc.Name, n, s.opts.MaxCells)
 	}
-	cells, err := gb.ScenarioCells(sc)
-	if err != nil {
-		return nil, err
-	}
 	horizonS := req.HorizonS
 	if horizonS == 0 {
 		horizonS = s.opts.DefaultHorizonS
 	}
-	return &request{sc: sc, key: key, horizonS: horizonS, runWorkers: runWorkers, cells: cells}, nil
+	out, err := newRequest(sc, horizonS, runWorkers)
+	if err != nil {
+		return nil, err
+	}
+	s.memo.put(body, out)
+	return out, nil
 }
 
 // cellOut is one scheduled cell's outcome, tagged with its matrix index.
@@ -305,19 +356,27 @@ type cellOut struct {
 	err   error
 }
 
-// schedule submits every cell of req to the shared pool under the request
-// context. The returned channel is buffered to len(cells): every submitted
-// job sends exactly once whatever happens, so abandoning the channel never
-// strands a worker and canceling ctx makes the leftover jobs cheap no-ops.
+// schedule delivers every cell of req on the returned channel. A cell the
+// cache has finished is answered at once, on the caller's goroutine, and
+// never waits for a worker; the rest are submitted to the shared pool
+// under the request context. The channel is buffered to len(cells): every
+// cell sends exactly once whatever happens, so abandoning the channel
+// never strands a worker and canceling ctx makes the leftover jobs cheap
+// no-ops.
 func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, error) {
 	tenant := tenantOf(ctx)
 	cellsC := s.col.Counter(metrics.Label("gbd_cells_scheduled_total", "tenant", tenant),
-		"cells", "sweep cells scheduled on the shared pool, by tenant")
+		"cells", "cells of accepted requests, cache hits included, by tenant")
 	ch := make(chan cellOut, len(req.cells))
 	for i, c := range req.cells {
-		i, c := i, c
+		key := req.cellKeys[i]
+		if e := s.cache.lookup(key); e != nil {
+			ch <- cellOut{idx: i, bytes: e.bytes, hit: true, err: e.err}
+			cellsC.Inc()
+			continue
+		}
 		err := s.pool.Submit(tenant, func() {
-			b, hit, err := s.cache.get(ctx, cellCacheKey(req.key, req.horizonS, c), func() ([]byte, error) {
+			b, hit, err := s.cache.get(ctx, key, func() ([]byte, error) {
 				var opts []gb.Option
 				if req.horizonS > 0 {
 					opts = append(opts, gb.WithHorizon(gb.Seconds(req.horizonS)))
@@ -343,8 +402,8 @@ func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, er
 
 // collect waits for every scheduled cell and returns the rendered bytes in
 // matrix order. The first cell error cancels the rest and is returned.
-func collect(ctx context.Context, cancel context.CancelFunc, n int, ch <-chan cellOut) ([]json.RawMessage, int, error) {
-	out := make([]json.RawMessage, n)
+func collect(ctx context.Context, cancel context.CancelFunc, n int, ch <-chan cellOut) ([][]byte, int, error) {
+	out := make([][]byte, n)
 	hits := 0
 	for received := 0; received < n; received++ {
 		select {
@@ -388,12 +447,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	body, err := renderRun(req.key, req.sc.Name, out[0])
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	if hits > 0 {
 		w.Header().Set(CacheHeader, "hit")
 	} else {
 		w.Header().Set(CacheHeader, "miss")
 	}
-	writeJSON(w, RunResponse{Key: req.key, Name: req.sc.Name, Cell: out[0]})
+	writeBody(w, body)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -419,7 +483,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, SweepResponse{Key: req.key, Name: req.sc.Name, Cells: out})
+	body, err := renderSweep(req.key, req.sc.Name, out)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, body)
 }
 
 func wantsSSE(r *http.Request) bool {

@@ -63,30 +63,26 @@ func (s *Server) decodeTune(r *http.Request) (*tuneRequest, error) {
 }
 
 // tuneRunner backs a search with the daemon's machinery: each eval's cells
-// are scheduled on the shared pool under the request's tenant (round-robin
-// fairness at cell granularity, like any sweep) and served through the
-// determinism cache — a tune cell and an identical /v1/sweeps cell share
-// one cache entry. The rung's horizon is applied exactly as specified (0 =
-// unbounded): substituting the daemon's default would fork the search away
-// from what the same spec computes in-process, breaking report parity.
+// go through schedule like any sweep's, so cached cells are answered at
+// once and the rest run on the shared pool under the request's tenant
+// (round-robin fairness at cell granularity). A tune cell and an identical
+// /v1/sweeps cell share one cache entry. The rung's horizon is applied
+// exactly as specified (0 = unbounded): substituting the daemon's default
+// would fork the search away from what the same spec computes in-process,
+// breaking report parity.
 func (s *Server) tuneRunner() tune.Runner {
 	return func(ctx context.Context, ev tune.Eval) ([]gb.CellSummary, error) {
-		specKey, err := gb.SpecKey(ev.Spec)
-		if err != nil {
-			return nil, err
-		}
-		cells, err := gb.ScenarioCells(ev.Spec)
+		req, err := newRequest(ev.Spec, ev.HorizonS, 0)
 		if err != nil {
 			return nil, err
 		}
 		ectx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		req := &request{sc: ev.Spec, key: specKey, horizonS: ev.HorizonS, cells: cells}
 		ch, err := s.schedule(ectx, req)
 		if err != nil {
 			return nil, err
 		}
-		out, _, err := collect(ectx, cancel, len(cells), ch)
+		out, _, err := collect(ectx, cancel, len(req.cells), ch)
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,9 @@
 //
 // Every cell result is fully determined by the canonical spec and the
 // cell's derived seed, so the daemon caches rendered cell bytes forever
-// and serves cached and computed responses byte-identically. All clients
-// share one bounded worker pool with per-tenant round-robin fairness.
+// and serves cached and computed responses byte-identically. Cells that
+// must be computed share one bounded worker pool with per-tenant
+// round-robin fairness; cached cells are answered without it.
 package gbd
 
 import (
@@ -104,6 +105,50 @@ func renderCell(c gb.CellKey, res *gb.Result) ([]byte, error) {
 		return nil, fmt.Errorf("gbd: render cell %d/%s/%d: %w", c.Scale, c.Mode, c.Rep, err)
 	}
 	return b, nil
+}
+
+// renderRun renders RunResponse{key, name, cell} and its trailing newline,
+// splicing the cached cell bytes in verbatim. Those bytes are already
+// marshalWire output, compact and unescaped, so encoding them again as a
+// json.RawMessage would only re-scan them into the same bytes.
+func renderRun(key, name string, cell []byte) ([]byte, error) {
+	head, err := wireHead(RunResponse{Key: key, Name: name})
+	if err != nil {
+		return nil, err
+	}
+	return append(append(head, cell...), "}\n"...), nil
+}
+
+// renderSweep renders SweepResponse{key, name, cells} and its trailing
+// newline the way renderRun does, the cells spliced into the array.
+func renderSweep(key, name string, cells [][]byte) ([]byte, error) {
+	head, err := wireHead(SweepResponse{Key: key, Name: name})
+	if err != nil {
+		return nil, err
+	}
+	n := len(head) + 3
+	for _, c := range cells {
+		n += len(c) + 1
+	}
+	b := append(make([]byte, 0, n), head...)
+	b = append(b, '[')
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c...)
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// wireHead encodes v, a response whose last field is nil, up to where that
+// field's value begins: marshalWire's output without the closing "null}".
+func wireHead(v any) ([]byte, error) {
+	b, err := marshalWire(v)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b, []byte("null}")), nil
 }
 
 // cellCacheKey is the determinism cache key for one cell: the canonical

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/gb"
 	"repro/internal/metrics"
@@ -67,8 +68,10 @@ type Server struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	tenantMu sync.Mutex
-	tenants  map[string]bool
+	tenantMu  sync.Mutex
+	tenants   map[string]*tenant // sanitized header values, at most MaxTenants
+	anonymous *tenant            // no usable header; registered on first use
+	other     *tenant            // over the cap; registered on first use
 
 	canceled  *metrics.Counter
 	drainingG *metrics.Gauge
@@ -87,7 +90,7 @@ func NewServer(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		col:     col,
-		tenants: map[string]bool{},
+		tenants: map[string]*tenant{},
 		canceled: col.Counter("gbd_requests_canceled_total", "requests",
 			"requests abandoned before completion (client disconnect or daemon abort)"),
 		drainingG: col.Gauge("gbd_draining", "bool",
@@ -138,34 +141,47 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 
 	t := s.tenant(r)
-	s.col.Counter(metrics.Label("gbd_requests_total", "tenant", t), "requests",
-		"API requests accepted, by tenant").Inc()
-	s.mux.ServeHTTP(w, r.WithContext(withTenant(ctx, t)))
+	t.requests.Inc()
+	s.mux.ServeHTTP(w, r.WithContext(context.WithValue(ctx, tenantKey{}, t)))
+}
+
+// tenant is one tenant label value with its labelled counters, each
+// resolved once, so that a request pays no label formatting or collector
+// lookup. Each series appears when it always has: requests at the tenant's
+// first request, scheduled cells at its first request that reaches the
+// scheduler.
+type tenant struct {
+	name      string
+	requests  *metrics.Counter                // gbd_requests_total{tenant=name}
+	scheduled atomic.Pointer[metrics.Counter] // gbd_cells_scheduled_total{tenant=name}
 }
 
 type tenantKey struct{}
 
-func withTenant(ctx context.Context, t string) context.Context {
-	return context.WithValue(ctx, tenantKey{}, t)
-}
-
-func tenantOf(ctx context.Context) string {
-	if t, ok := ctx.Value(tenantKey{}).(string); ok {
+// tenantOf returns the tenant ServeHTTP bound to ctx.
+func (s *Server) tenantOf(ctx context.Context) *tenant {
+	if t, ok := ctx.Value(tenantKey{}).(*tenant); ok {
 		return t
 	}
-	return "anonymous"
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
+	return s.fallback(&s.anonymous, "anonymous")
 }
+
+// canonicalTenantHeader is TenantHeader in the form net/http stores header
+// keys in, so that reading it does not canonicalize, and allocate, a copy
+// per request.
+var canonicalTenantHeader = http.CanonicalHeaderKey(TenantHeader)
 
 // tenant sanitizes the tenant header into a bounded-cardinality label
 // value: restricted alphabet, length-capped, at most MaxTenants distinct
-// values before folding into "other".
-func (s *Server) tenant(r *http.Request) string {
-	raw := r.Header.Get(TenantHeader)
-	if raw == "" {
-		return "anonymous"
-	}
-	var b []byte
-	for i := 0; i < len(raw) && len(b) < 32; i++ {
+// values before folding into "other". It sanitizes into a fixed buffer, so
+// a tenant seen before costs no allocation.
+func (s *Server) tenant(r *http.Request) *tenant {
+	raw := r.Header.Get(canonicalTenantHeader)
+	var buf [32]byte
+	b := buf[:0]
+	for i := 0; i < len(raw) && len(b) < len(buf); i++ {
 		c := raw[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
@@ -173,19 +189,50 @@ func (s *Server) tenant(r *http.Request) string {
 			b = append(b, c)
 		}
 	}
-	if len(b) == 0 {
-		return "anonymous"
-	}
-	t := string(b)
 	s.tenantMu.Lock()
 	defer s.tenantMu.Unlock()
-	if !s.tenants[t] {
-		if len(s.tenants) >= s.opts.MaxTenants {
-			return "other"
-		}
-		s.tenants[t] = true
+	if len(b) == 0 {
+		return s.fallback(&s.anonymous, "anonymous")
 	}
+	if t := s.tenants[string(b)]; t != nil {
+		return t
+	}
+	if len(s.tenants) >= s.opts.MaxTenants {
+		return s.fallback(&s.other, "other")
+	}
+	t := s.newTenant(string(b))
+	s.tenants[t.name] = t
 	return t
+}
+
+// fallback returns *slot, the anonymous or over-cap tenant, registering it
+// on first use. The caller holds tenantMu.
+func (s *Server) fallback(slot **tenant, name string) *tenant {
+	if *slot == nil {
+		*slot = s.newTenant(name)
+	}
+	return *slot
+}
+
+// newTenant registers name's request counter.
+func (s *Server) newTenant(name string) *tenant {
+	return &tenant{
+		name: name,
+		requests: s.col.Counter(metrics.Label("gbd_requests_total", "tenant", name), "requests",
+			"API requests accepted, by tenant"),
+	}
+}
+
+// cellsScheduled returns t's scheduled-cells counter, registering it on
+// first use. Two requests racing to register it get the same counter.
+func (s *Server) cellsScheduled(t *tenant) *metrics.Counter {
+	if c := t.scheduled.Load(); c != nil {
+		return c
+	}
+	c := s.col.Counter(metrics.Label("gbd_cells_scheduled_total", "tenant", t.name),
+		"cells", "cells of accepted requests, cache hits included, by tenant")
+	t.scheduled.Store(c)
+	return c
 }
 
 // statusOf maps an error to the v1 wire status.
@@ -287,14 +334,16 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // decodeJSON decodes body into v, rejecting unknown fields and trailing
-// data.
+// data. Only white space may follow the object: the decoder must reach
+// io.EOF. (Decoder.More would miss a stray '}' or ']', which it reads as
+// the end of an enclosing value.)
 func decodeJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badSpec("decoding request: %v", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return badSpec("trailing data after request body")
 	}
 	return nil
@@ -364,9 +413,8 @@ type cellOut struct {
 // never strands a worker and canceling ctx makes the leftover jobs cheap
 // no-ops.
 func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, error) {
-	tenant := tenantOf(ctx)
-	cellsC := s.col.Counter(metrics.Label("gbd_cells_scheduled_total", "tenant", tenant),
-		"cells", "cells of accepted requests, cache hits included, by tenant")
+	t := s.tenantOf(ctx)
+	cellsC := s.cellsScheduled(t)
 	ch := make(chan cellOut, len(req.cells))
 	for i, c := range req.cells {
 		key := req.cellKeys[i]
@@ -375,7 +423,7 @@ func (s *Server) schedule(ctx context.Context, req *request) (<-chan cellOut, er
 			cellsC.Inc()
 			continue
 		}
-		err := s.pool.Submit(tenant, func() {
+		err := s.pool.Submit(t.name, func() {
 			b, hit, err := s.cache.get(ctx, key, func() ([]byte, error) {
 				var opts []gb.Option
 				if req.horizonS > 0 {

@@ -127,6 +127,39 @@ func TestErrorStatusTable(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: only white space may follow the request
+// object. A stray closing bracket, a word or a second object gets a 400 on
+// every endpoint that decodes a body, and no rejected body reaches the
+// decode memo; a trailing newline is white space and gets a 200.
+func TestTrailingDataRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	bodies := map[string]string{
+		"/v1/runs":   sweepBody(oneCellSpec),
+		"/v1/sweeps": sweepBody(oneCellSpec),
+		"/v1/tune":   tuneBody(testTuneSpec),
+	}
+	for _, path := range []string{"/v1/runs", "/v1/sweeps", "/v1/tune"} {
+		for _, tail := range []string{"}", "]", "}]]]", " x", bodies[path]} {
+			resp := post(t, ts.URL+path, bodies[path]+tail, nil)
+			if got := readAll(t, resp); resp.StatusCode != 400 {
+				t.Errorf("%s with %.8q after the request: status %d body %s, want 400", path, tail, resp.StatusCode, got)
+			}
+		}
+	}
+	s.memo.mu.Lock()
+	n := len(s.memo.m)
+	s.memo.mu.Unlock()
+	if n != 0 {
+		t.Errorf("memo holds %d entries after rejected bodies only", n)
+	}
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		resp := post(t, ts.URL+path, bodies[path]+"\n", nil)
+		if got := readAll(t, resp); resp.StatusCode != 200 {
+			t.Errorf("%s with a trailing newline: status %d body %s, want 200", path, resp.StatusCode, got)
+		}
+	}
+}
+
 // TestMaxCells: a sweep matrix above the daemon's bound is rejected up
 // front, before any cell is scheduled.
 func TestMaxCells(t *testing.T) {
@@ -545,18 +578,52 @@ func TestTenantSanitization(t *testing.T) {
 		}
 		return r
 	}
-	if got := s.tenant(mk("")); got != "anonymous" {
+	if got := s.tenant(mk("")).name; got != "anonymous" {
 		t.Errorf("empty header -> %q, want anonymous", got)
 	}
-	if got := s.tenant(mk(`ali"ce}\n{evil`)); got != "alicenevil" {
+	if got := s.tenant(mk(`ali"ce}\n{evil`)).name; got != "alicenevil" {
 		t.Errorf("hostile header -> %q, want alicenevil", got)
 	}
-	if got := s.tenant(mk(strings.Repeat("x", 100))); len(got) != 32 {
+	if got := s.tenant(mk(strings.Repeat("x", 100))).name; len(got) != 32 {
 		t.Errorf("long header -> %d chars, want 32", len(got))
 	}
 	s.tenant(mk("beta")) // second distinct tenant fills the cap
-	if got := s.tenant(mk("gamma")); got != "other" {
+	if got := s.tenant(mk("gamma")).name; got != "other" {
 		t.Errorf("over-cap tenant -> %q, want other", got)
+	}
+}
+
+// TestTenantCountersOnFirstSight: a tenant's counters are resolved once. A
+// known tenant's lookup allocates nothing, and each series appears when it
+// always has: requests at the tenant's first request, scheduled cells only
+// once one of its requests reaches the scheduler.
+func TestTenantCountersOnFirstSight(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	r := httptest.NewRequest("GET", "/healthz", nil)
+	r.Header.Set(TenantHeader, "alice")
+	first := s.tenant(r)
+	if n := testing.AllocsPerRun(100, func() {
+		if s.tenant(r) != first {
+			t.Fatal("a known tenant resolved to a new entry")
+		}
+	}); n != 0 {
+		t.Errorf("resolving a known tenant allocates %.0f times", n)
+	}
+	post(t, ts.URL+"/v1/runs", `{bad`, map[string]string{TenantHeader: "bob"}).Body.Close()
+	post(t, ts.URL+"/v1/runs", sweepBody(oneCellSpec), map[string]string{TenantHeader: "carol"}).Body.Close()
+	post(t, ts.URL+"/v1/runs", sweepBody(oneCellSpec), map[string]string{TenantHeader: "carol"}).Body.Close()
+	snap := s.Collector().Snapshot()
+	for name, want := range map[string]int64{
+		`gbd_requests_total{tenant="bob"}`:          1,
+		`gbd_requests_total{tenant="carol"}`:        2,
+		`gbd_cells_scheduled_total{tenant="carol"}`: 2,
+	} {
+		if got, ok := snap.Counter(name); !ok || got != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
+	}
+	if _, ok := snap.Counter(`gbd_cells_scheduled_total{tenant="bob"}`); ok {
+		t.Error("bob's scheduled-cells series registered, though none of bob's requests was scheduled")
 	}
 }
 

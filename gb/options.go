@@ -243,11 +243,12 @@ func WithCellMetrics() Option {
 // WithRunWorkers sets how many OS threads a single simulation may use for
 // its own event loop (default 1 = the classic serial kernel). Large
 // group-mode runs are partitioned by checkpoint group; n > 1 lets those
-// partitions advance concurrently. Results are byte-identical at every
-// worker count — the partition schedule depends only on the spec, never on
-// thread timing — so this is purely a wall-clock knob. Orthogonal to
-// WithWorkers, which parallelizes *across* sweep cells; WithRunWorkers
-// parallelizes *inside* each run.
+// partitions advance concurrently. A run uses no more threads than
+// GOMAXPROCS or its partition count, whatever n says. Results are
+// byte-identical at every worker count — the partition schedule depends
+// only on the spec, never on thread timing — so this is purely a
+// wall-clock knob. Orthogonal to WithWorkers, which parallelizes *across*
+// sweep cells; WithRunWorkers parallelizes *inside* each run.
 func WithRunWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

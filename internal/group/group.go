@@ -250,15 +250,23 @@ func FromPairs(pairs []trace.PairStat, n, maxSize int) Formation {
 	return normalize(n, groups)
 }
 
+// unionSize counts the distinct processes in a ∪ b. Both are sorted, as
+// tuple.procs are, so a merge walk visits the union in order and counts
+// each change of value: no set is built per candidate merge.
 func unionSize(a, b []int) int {
-	seen := map[int]bool{}
-	for _, p := range a {
-		seen[p] = true
+	n, last := 0, 0
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var p int
+		if j == len(b) || i < len(a) && a[i] <= b[j] {
+			p, i = a[i], i+1
+		} else {
+			p, j = b[j], j+1
+		}
+		if n == 0 || p != last {
+			n, last = n+1, p
+		}
 	}
-	for _, p := range b {
-		seen[p] = true
-	}
-	return len(seen)
+	return n
 }
 
 // FromTrace is the full pipeline: aggregate send records, then run

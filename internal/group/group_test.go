@@ -2,6 +2,7 @@ package group
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,30 @@ func TestFromPairsAlwaysValidProperty(t *testing.T) {
 		return form.MaxGroupSize() <= maxSize || maxSize < 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestUnionSizeCountsDistinct: the merge walk over two sorted slices
+// counts what a set union counts, duplicates inside either slice included.
+func TestUnionSizeCountsDistinct(t *testing.T) {
+	prop := func(a, b []uint8) bool {
+		sorted := func(v []uint8) []int {
+			out := make([]int, len(v))
+			for i, x := range v {
+				out[i] = int(x % 16)
+			}
+			sort.Ints(out)
+			return out
+		}
+		sa, sb := sorted(a), sorted(b)
+		set := map[int]bool{}
+		for _, p := range append(append([]int{}, sa...), sb...) {
+			set[p] = true
+		}
+		return unionSize(sa, sb) == len(set)
+	}
+	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
 }

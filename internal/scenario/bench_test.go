@@ -106,9 +106,10 @@ func samplePeakHeap() func() uint64 {
 }
 
 // BenchmarkScenario16384Parallel is BenchmarkScenario16384 with the cell's
-// own event loop spread across 8 worker threads: at 16384 ranks the kernel
-// splits the world into group-based partitions, and RunWorkers lets them
-// advance concurrently between lookahead barriers. The output is
+// own event loop spread across up to 8 worker threads — no more than
+// GOMAXPROCS, which caps a run's pool: at 16384 ranks the kernel splits the
+// world into group-based partitions, and RunWorkers lets them advance
+// concurrently between lookahead barriers. The output is
 // byte-identical to the serial run (TestScale64kQuickWorkerIdentity pins
 // that), so the ratio of this benchmark to BenchmarkScenario16384 is pure
 // speedup — on a multi-core host it should be well under 1×; on a

@@ -139,10 +139,12 @@ func TestShutdownReapsUnstartedProcs(t *testing.T) {
 // goroutine with its original value at every worker count. Partitions 1
 // and 3 panic in the same round, so a worker pool must raise the first in
 // partition order, as the one-worker event loop does by stepping them in
-// that order. Shutdown then reaps every remaining process.
+// that order, whichever members ran them. Shutdown then reaps every
+// remaining process.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			raiseProcs(t, workers) // a pool of workers members, not fewer
 			before := runtime.NumGoroutine()
 			k := NewKernel(1)
 			k.SetPartitions(4, Microsecond)

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ErrCanceled is returned by Run when the kernel was interrupted (see
@@ -128,14 +130,14 @@ type partition struct {
 	bound  Time  // exclusive upper bound of the current window
 	open   bool  // a window is in progress: the only time CrossAt1 may stage
 	outbox []xev // cross-partition events staged this window
-	fault  any   // a panic recovered from this partition's window by a pool worker
+	fault  any   // a panic recovered from this partition's window by a pool member
 }
 
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
 // construct with NewKernel.
 //
 // Simulated processes are coroutines (iter.Pull), each resumed by a home
-// loop (drive): Run's goroutine at one worker, or the pool worker running
+// loop (drive): Run's goroutine at one worker, or the pool member running
 // the window above that. A blocking process runs its partition's event loop
 // itself (dispatch): callbacks run inline, and when the next wakeup is its
 // own it keeps running with no switch at all. Otherwise it yields the
@@ -150,8 +152,8 @@ type partition struct {
 // coordinator repeatedly computes the window [T, T + lookahead) — T being
 // the smallest next-event time across partitions, the window further capped
 // by the next global event and the horizon — lets each partition process
-// all its events strictly inside the window — in parallel, on up to
-// SetRunWorkers goroutines — then merges the cross-partition events staged
+// all its events strictly inside the window — in parallel, on a pool of up
+// to SetRunWorkers goroutines — then merges the cross-partition events staged
 // during the round. Every cross-partition event carries at least one
 // lookahead of delay, so nothing generated during a round (by any chain of
 // hops) can land inside it. Because the windows and the merge order depend
@@ -172,10 +174,10 @@ type Kernel struct {
 
 	lookahead Time // minimum cross-partition event delay; > 0 when partitioned
 	workers   int  // max partitions executing concurrently per round
+	members   int  // this Run's pool size; 1: the event loop carries the coordinator
 
 	// Round state, owned by whoever coordinates: Run's goroutine under a
 	// worker pool, the event loop itself on a one-worker kernel.
-	carry    bool         // one worker: the event loop carries the coordinator
 	runnable []*partition // the open round's partitions, in partition order
 	cursor   int          // next runnable partition to step (carried rounds)
 	err      error        // the run's outcome, recorded by whoever ends it
@@ -236,7 +238,8 @@ func (k *Kernel) SetPartitions(n int, lookahead Time) {
 // SetRunWorkers bounds how many partitions execute concurrently within each
 // round (default 1 = sequential). The simulation output is byte-identical at
 // every setting; only wall-clock time changes. Values above the partition
-// count are clamped.
+// count or GOMAXPROCS are clamped: a run uses no more threads than
+// GOMAXPROCS.
 func (k *Kernel) SetRunWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -550,7 +553,7 @@ func (k *Kernel) dispatch(pt *partition) *Proc {
 			}
 			continue
 		}
-		if !k.carry {
+		if k.members > 1 {
 			return nil
 		}
 		if pt = k.nextWindow(); pt == nil {
@@ -620,12 +623,15 @@ func (k *Kernel) horizonBound() Time {
 // clock, one window running to the horizon. A partitioned kernel proceeds in
 // lookahead rounds (openRound, the windows, closeRound). At one worker the
 // rounds are driven by the event loop itself (dispatch); above that, Run's
-// goroutine coordinates a worker pool through the same two functions.
+// goroutine coordinates a worker pool through the same two functions. The
+// pool has min(SetRunWorkers, partitions, GOMAXPROCS) members, Run's
+// goroutine among them; with one member the run is carried.
 //
 // A panic in a process body or an event callback surfaces from Run on the
 // caller's goroutine, at every worker count: under a worker pool the first
 // panic of a round in partition order, once the round's other windows are
-// done. Shutdown still reaps the remaining processes afterwards.
+// done. Every pool helper has exited by the time Run returns or panics.
+// Shutdown still reaps the remaining processes afterwards.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
@@ -637,8 +643,9 @@ func (k *Kernel) Run() error {
 		m.Partitions.Set(float64(len(k.parts)))
 	}
 	k.err = nil
-	k.carry = len(k.parts) == 1 || k.workers <= 1
-	if k.carry {
+	k.members = min(k.workers, len(k.parts), runtime.GOMAXPROCS(0))
+	if k.members <= 1 {
+		k.members = 1
 		k.runCarried()
 	} else {
 		k.runPool()
@@ -670,11 +677,16 @@ func (k *Kernel) runCarried() {
 	k.drive(first)
 }
 
-// runPool is the multi-worker coordinator loop: Run's goroutine opens each
-// round, runs its windows on the pool, and closes it.
+// runPool is the multi-worker coordinator loop: Run's goroutine starts the
+// pool's helpers, then opens each round, runs its windows with them, and
+// closes it. The helpers live until the run ends, however it ends: the
+// deferred stop waits for every one of them to exit, so none outlives Run —
+// not even when a round's fault is raised again here.
 func (k *Kernel) runPool() {
+	pl := newPool(k)
+	defer pl.stop()
 	for k.openRound() {
-		k.runRound()
+		pl.runRound()
 		if k.intr.Load() {
 			k.err = ErrCanceled
 			return
@@ -827,47 +839,168 @@ func (k *Kernel) finishPartitioned(err error) {
 	k.err = err
 }
 
-// runRound executes the open round's windows on a small pool claiming
-// partitions from an atomic cursor — or on the calling goroutine when only
-// one partition is runnable. Work distribution across goroutines is
-// irrelevant to the result: partitions share nothing within a round. Pool
-// workers recover a window's panic and keep claiming; once the round is
+// spinBudget is how long an idle pool member polls before it parks: a
+// helper waiting for the next round, or the coordinator waiting for the
+// round's helpers to leave it. A partitioned paper-scale round lasts tens of
+// microseconds, so a member that polls this long usually sees the next
+// round without a thread wakeup; a member that does not has met a pause
+// long enough that parking adds little to it. Bounded polling before
+// blocking is the classic competitive compromise between the two
+// (Karlin et al. 1991).
+const spinBudget = 50 * time.Microsecond
+
+// pool runs a partitioned kernel's windows for the length of one Run. Its
+// members are Run's goroutine — the coordinator, which also runs windows —
+// and k.members-1 helper goroutines. A helper learns of a round from the
+// epoch counter and claims the round's partitions from the shared span, as
+// the coordinator does; whoever claims a window runs it. Work distribution
+// is irrelevant to the result: partitions share nothing within a round.
+//
+// The epoch is odd while a round is open to helpers. A helper joins round
+// e by counting itself inside and then seeing the epoch still at e; the
+// coordinator closes the round by advancing the epoch once every window is
+// claimed, and then waits until no helper is inside. Each side writes its
+// own atomic before reading the other's, so either the helper sees the
+// round closed and claims nothing, or the coordinator sees it inside and
+// waits for it: a helper never reads the round's state after the
+// coordinator starts changing it, and a slow helper never holds up a round
+// it did not join.
+type pool struct {
+	k       *Kernel
+	epoch   atomic.Uint64 // odd while a round is open to helpers
+	span    atomic.Uint64 // unclaimed windows: k.runnable[lo:hi], hi in the top 32 bits
+	inside  atomic.Int32  // helpers that joined the current round and have not left it
+	halt    atomic.Bool   // the run is over: helpers exit
+	exited  sync.WaitGroup
+	mu      sync.Mutex   // held to park on round or drained, and to signal them
+	round   sync.Cond    // helpers park here for the next round
+	drained sync.Cond    // the coordinator parks here for inside to reach 0
+	idle    atomic.Int32 // helpers parked on round
+	waiting atomic.Int32 // coordinators parked on drained: 0 or 1
+}
+
+// newPool starts the pool's helpers.
+func newPool(k *Kernel) *pool {
+	pl := &pool{k: k}
+	pl.round.L = &pl.mu
+	pl.drained.L = &pl.mu
+	pl.exited.Add(k.members - 1)
+	for i := 1; i < k.members; i++ {
+		go pl.help()
+	}
+	return pl
+}
+
+// stop ends the pool and returns once every helper has exited. It runs
+// between rounds, when no helper is inside one.
+func (pl *pool) stop() {
+	pl.halt.Store(true)
+	pl.notify(&pl.round, &pl.idle)
+	pl.exited.Wait()
+}
+
+// runRound executes the open round's windows: inline when only one
+// partition is runnable, and otherwise on every pool member that joins.
+// Members recover a window's panic and keep claiming; once the round is
 // done, the first panic in partition order is raised again here, on Run's
 // goroutine.
-func (k *Kernel) runRound() {
-	runnable := k.runnable
-	w := k.workers
-	if w > len(runnable) {
-		w = len(runnable)
-	}
-	if w <= 1 {
-		k.drive(runnable[0])
+func (pl *pool) runRound() {
+	k := pl.k
+	if len(k.runnable) == 1 {
+		k.drive(k.runnable[0])
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				j := next.Add(1) - 1
-				if j >= int64(len(runnable)) {
-					return
-				}
-				runWindow(runnable[j])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, pt := range runnable {
+	pl.span.Store(uint64(len(k.runnable)) << 32)
+	pl.epoch.Add(1) // open
+	pl.notify(&pl.round, &pl.idle)
+	pl.claim(true)
+	pl.epoch.Add(1) // closed: every window is claimed
+	pl.await(&pl.drained, &pl.waiting, func() bool { return pl.inside.Load() == 0 })
+	for _, pt := range k.runnable {
 		if pt.fault != nil {
 			panic(pt.fault)
 		}
 	}
 }
 
-// runWindow runs partition pt's window as a pool worker's home loop,
+// help is a helper's life: wait for a round it has not seen, join it if it
+// is still open, claim windows until none is left, leave.
+func (pl *pool) help() {
+	defer pl.exited.Done()
+	var seen uint64
+	for {
+		pl.await(&pl.round, &pl.idle, func() bool {
+			e := pl.epoch.Load()
+			return pl.halt.Load() || e&1 == 1 && e != seen
+		})
+		if pl.halt.Load() {
+			return
+		}
+		seen = pl.epoch.Load()
+		pl.inside.Add(1)
+		if pl.epoch.Load() == seen && seen&1 == 1 {
+			pl.claim(false)
+		}
+		if pl.inside.Add(-1) == 0 {
+			pl.notify(&pl.drained, &pl.waiting)
+		}
+	}
+}
+
+// claim runs the open round's unclaimed windows until none is left: from
+// the front of k.runnable for the coordinator, from the back for helpers.
+// Claiming from two ends keeps a partition that stays runnable on the same
+// member from round to round, and its heap, processes and coroutine stacks
+// in that core's cache; a cursor the members share from one end hands
+// neighbouring windows to alternate members and moves them every round.
+func (pl *pool) claim(front bool) {
+	runnable := pl.k.runnable
+	for {
+		v := pl.span.Load()
+		lo, hi := uint32(v), uint32(v>>32)
+		if lo >= hi {
+			return
+		}
+		j, rest := lo, v+1
+		if !front {
+			j, rest = hi-1, v-1<<32
+		}
+		if pl.span.CompareAndSwap(v, rest) {
+			runWindow(runnable[j])
+		}
+	}
+}
+
+// await returns once ready holds. It polls for spinBudget, yielding the
+// processor between polls, and then parks on c, counted in parked.
+// Whoever makes ready true calls notify afterwards: it reads parked after
+// its own write, and the waiter counts itself before its last check, so the
+// wakeup cannot be lost.
+func (pl *pool) await(c *sync.Cond, parked *atomic.Int32, ready func() bool) {
+	for start := time.Now(); time.Since(start) < spinBudget; runtime.Gosched() {
+		if ready() {
+			return
+		}
+	}
+	pl.mu.Lock()
+	parked.Add(1)
+	for !ready() {
+		c.Wait()
+	}
+	parked.Add(-1)
+	pl.mu.Unlock()
+}
+
+// notify wakes the members parked on c, if any.
+func (pl *pool) notify(c *sync.Cond, parked *atomic.Int32) {
+	if parked.Load() > 0 {
+		pl.mu.Lock()
+		c.Broadcast()
+		pl.mu.Unlock()
+	}
+}
+
+// runWindow runs partition pt's window as a pool member's home loop,
 // recording a panic in pt.fault instead of letting it kill the process.
 func runWindow(pt *partition) {
 	defer func() { pt.fault = recover() }()

@@ -6,9 +6,11 @@ package sim
 // bounded by this path. BenchmarkKernelEventChurn measures the heap alone
 // (kernel-context callbacks, no process switches); the other benchmarks
 // add process wakeups and mailbox traffic in the mix real workloads produce.
+// BenchmarkPartitionedRounds measures the partitioned kernel's rounds.
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -144,5 +146,71 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkPartitionedRounds measures a partitioned kernel's rounds: the
+// window bound, the windows on the worker pool, the handoff between its
+// members and the cross-partition merge. The model is partition_test.go's
+// token ring widened to 64 partitions, with eight tokens spread evenly
+// over it. A receiver makes 32 short holds before it forwards its token
+// one partition on, so a round runs about 30 events in each of about 8
+// partitions: few runnable partitions out of 64, each with microseconds
+// of work, the shape of the paper-scale GP1 cell's rounds. One op is one
+// hop; ns/round is the run's wall time over its rounds.
+//
+// No metrics are attached: sim_events_total and sim_queue_depth are
+// updated at every event, and pool members updating the same atomics would
+// time the contention on them instead of the rounds. A barrier hook counts
+// the rounds instead; it fires once per round, as sim_rounds_total counts,
+// and once more for the final flush.
+func BenchmarkPartitionedRounds(b *testing.B) {
+	const (
+		parts     = 64
+		tokens    = 8
+		holds     = 32
+		lookahead = 10 * Microsecond
+	)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			k := NewKernel(1)
+			k.SetPartitions(parts, lookahead)
+			k.SetRunWorkers(workers)
+			hooks := 0
+			k.OnBarrier(func() { hooks++ })
+			hops := b.N/parts + 1 // tokens each player receives
+			var mbs [parts]*Mailbox
+			var deliver [parts]func(any)
+			for i := range mbs {
+				mb := NewMailbox(k, "ring")
+				mbs[i], deliver[i] = mb, func(v any) { mb.PutKeyed(v, 0, 0) }
+			}
+			for i := 0; i < parts; i++ {
+				next := (i + 1) % parts
+				if i%(parts/tokens) == 0 {
+					k.PartAt1(i, 0, deliver[i], nil)
+				}
+				k.SpawnIn(i, "player", func(p *Proc) {
+					rng := k.PartRand(i)
+					for n := 0; n < hops; n++ {
+						mbs[i].RecvKeyed(p, AnyKey, 0)
+						for h := 0; h < holds; h++ {
+							p.Hold(Time(rng.Int63n(int64(lookahead / (2 * holds)))))
+						}
+						k.CrossAt1(i, next, p.Now()+lookahead, deliver[next], nil)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			k.Shutdown()
+			rounds := float64(hooks - 1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rounds, "ns/round")
+			b.ReportMetric(float64(k.Events())/rounds, "events/round")
+		})
 	}
 }

@@ -131,9 +131,11 @@ func (m *ringModel) run(t *testing.T) ringOutcome {
 }
 
 // forWorkers runs build+check at RunWorkers 1, 2 and 4 and demands identical
-// outcomes; it also checks that no goroutine survives Shutdown.
+// outcomes; it also checks that no goroutine survives Shutdown. GOMAXPROCS
+// is raised to 4 meanwhile, so that RunWorkers 4 runs a pool of 4.
 func forWorkers(t *testing.T, build func(workers int) *ringModel, check func(t *testing.T, out ringOutcome)) {
 	t.Helper()
+	raiseProcs(t, 4)
 	before := runtime.NumGoroutine()
 	var ref ringOutcome
 	for _, w := range []int{1, 2, 4} {

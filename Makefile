@@ -25,15 +25,16 @@ headline-claims:
 
 # The partitioned kernel's dedicated race exercise: a multi-group 4096-rank
 # cell with its event loop spread across 8 worker threads, under the race
-# detector (gb/race_test.go), then the worker pool's lifecycle tests
-# (internal/sim/pool_test.go: helpers exit with Run however it ends, and a
-# pool has no more members than GOMAXPROCS) twenty times over. The first
-# test is build-tagged race-only, so plain `make race` runs it too; this
-# named target is the targeted variant CI reports on its own line,
-# mirroring gbd-smoke-race.
+# detector (gb/race_test.go), then twenty times over the worker pool's
+# lifecycle tests (internal/sim/pool_test.go: helpers exit with Run however
+# it ends, and a pool has no more members than GOMAXPROCS) and the kernel
+# metrics' determinism test (internal/sim/metrics_test.go: every sim_*
+# metric is the same at 1, 2 and 4 workers). The first test is build-tagged
+# race-only, so plain `make race` runs it too; this named target is the
+# targeted variant CI reports on its own line, mirroring gbd-smoke-race.
 parallel-race:
 	$(GO) test -race -run TestParallelKernelMultiGroupRace -v ./gb
-	$(GO) test -race -count=20 -run '^TestPool' ./internal/sim
+	$(GO) test -race -count=20 -run '^(TestPool|TestMetricsIdenticalAtEveryWorkerCount$$)' ./internal/sim
 
 # One iteration of every benchmark — a smoke pass proving the experiment
 # suite still regenerates each figure, not a timing run.

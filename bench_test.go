@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
-	"repro/internal/group"
 	"repro/internal/harness"
 	"repro/internal/paper"
 	"repro/internal/sim"
@@ -314,52 +313,4 @@ func BenchmarkAblationNetworkSpeed(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationLogFlush compares the asynchronous background log
-// flusher against flushing everything synchronously at checkpoint time.
-func BenchmarkAblationLogFlush(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{{"background", 20e6}, {"sync-only", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				wl := workload.NewSynthetic(8, 400)
-				wl.RingBytes = 1 << 20
-				k := sim.NewKernel(int64(i))
-				c := cluster.New(k, 8, cluster.Gideon())
-				// Build the engine directly to reach the knob.
-				res, err := runWithFlushRate(k, c, wl, tc.rate)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Seconds(), "agg_ckpt_s")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDynamicGrouping measures the related-work merge-on-message
-// scheme's collapse into one global group versus Algorithm 2's bounded groups.
-func BenchmarkAblationDynamicGrouping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ResetCaches()
-		wl := workload.NewSynthetic(16, 100)
-		res, err := harness.Run(context.Background(), harness.Spec{WL: wl, Mode: harness.NORM, Seed: 1,
-			Observers: []harness.Observer{harness.NewTraceObserver()}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dyn := group.Dynamic(res.Trace, 16)
-		alg2 := group.FromTrace(res.Trace, 16, 0)
-		b.ReportMetric(float64(dyn.MaxGroupSize()), "dynamic_maxgroup")
-		b.ReportMetric(float64(alg2.MaxGroupSize()), "alg2_maxgroup")
-	}
-}
-
-// runWithFlushRate runs one GP1 checkpoint with the given background flush
-// rate and returns the aggregate checkpoint time.
-func runWithFlushRate(k *sim.Kernel, c *cluster.Cluster, wl workload.Workload, rate float64) (sim.Time, error) {
-	return benchFlushRun(k, c, wl, rate)
 }

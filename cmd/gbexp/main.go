@@ -57,7 +57,7 @@ func main() {
 		tsv       = flag.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
 		plot      = flag.Bool("plot", false, "also render each table as an ASCII chart")
 		cellMet   = flag.Bool("cell-metrics", false,
-			"with -scenario: stream the sweep with a per-cell metrics snapshot and print each cell's metrics (see OBSERVABILITY.md)")
+			"with a -scenario that has no jobs block: stream the sweep with a per-cell metrics snapshot and print each cell's metrics (see OBSERVABILITY.md)")
 		jobDetail = flag.Bool("job-detail", false,
 			"with a jobs -scenario: print each cluster cell's per-job lifecycle table after the aggregate table")
 	)

@@ -125,3 +125,23 @@ func TestCellMetricsInMatrixOrder(t *testing.T) {
 		t.Errorf("cell order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestCellMetricsOnJobsScenarioExitsNonZero: a jobs scenario's cells are
+// job streams with no one metrics snapshot, so -cell-metrics is refused
+// with gb's reason instead of printing a nil snapshot.
+func TestCellMetricsOnJobsScenarioExitsNonZero(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	spec := `{"name":"tiny-jobs","scales":[16],"modes":["GP"],` +
+		`"jobs":{"count":2,"meanInterarrivalS":1,"templates":[{"kind":"synthetic","iters":2,"ranks":4}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "-scenario", path, "-cell-metrics")
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() == 0 {
+		t.Fatalf("-cell-metrics on a jobs scenario did not exit non-zero (err=%v); output:\n%s", err, out)
+	}
+	if !strings.Contains(out, "WithCellMetrics does not apply") || strings.Contains(out, "panic") {
+		t.Errorf("want gb's rejection and no panic:\n%s", out)
+	}
+}

@@ -228,8 +228,10 @@ func WithObserver(obs ...Observer) Option {
 
 // WithCellMetrics attaches a fresh MetricsObserver to every sweep cell (or
 // to the one cell of a RunCell call), so each Cell.Result carries a
-// per-cell metrics snapshot (Result.Metrics). On a single run, stack the
-// observer yourself: WithObserver(NewMetricsObserver()).
+// per-cell metrics snapshot (Result.Metrics), the same at every
+// WithRunWorkers setting. A scenario with Jobs is rejected with ErrBadSpec:
+// its cells are job streams, many simulations each. On a single run, stack
+// the observer yourself: WithObserver(NewMetricsObserver()).
 func WithCellMetrics() Option {
 	return func(c *config) error {
 		if c.scope != scopeSweep && c.scope != scopeCell {

@@ -162,7 +162,7 @@ func SweepTable(ctx context.Context, sc *Scenario, opts ...Option) (*Table, erro
 // sweepSpec resolves the scenario the sweep options select. The caller's
 // Scenario is never mutated: defaults, validation, and a WithSeed override
 // all apply to a copy. The horizon option becomes per-cell
-// instrumentation.
+// instrumentation. WithCellMetrics is refused on cluster cells.
 func (c *config) sweepSpec(sc *Scenario) (*Scenario, scenario.Instrument, error) {
 	if sc == nil {
 		return nil, scenario.Instrument{}, errBadSpec("nil scenario")
@@ -177,6 +177,9 @@ func (c *config) sweepSpec(sc *Scenario) (*Scenario, scenario.Instrument, error)
 	}
 	if err := cp.Validate(); err != nil {
 		return nil, scenario.Instrument{}, fmt.Errorf("gb: %w: %v", ErrBadSpec, err)
+	}
+	if c.cellMetrics && cp.Jobs != nil {
+		return nil, scenario.Instrument{}, errBadSpec("WithCellMetrics does not apply to scenario %q: its cells run a stream of jobs, each a simulation of its own, so a cell has no one metrics snapshot", cp.Name)
 	}
 	return &cp, scenario.Instrument{HorizonS: c.horizonS, Metrics: c.cellMetrics, RunWorkers: c.runWorkers}, nil
 }

@@ -118,6 +118,45 @@ func TestSweepCellMetrics(t *testing.T) {
 	}
 }
 
+// TestCellMetricsRejectsJobStreams: a cluster cell runs a stream of jobs,
+// each a simulation of its own, so it has no one metrics snapshot.
+// WithCellMetrics on such a scenario is a bad spec for Sweep, SweepTable
+// and RunCell alike, where it used to yield cells with nil Metrics; the
+// same sweep without it runs.
+func TestCellMetricsRejectsJobStreams(t *testing.T) {
+	ctx := context.Background()
+	sc, err := gb.ParseScenario(strings.NewReader(`{
+		"name": "tiny-jobs",
+		"scales": [16],
+		"modes": ["GP"],
+		"jobs": {"count": 2, "meanInterarrivalS": 1,
+			"templates": [{"kind": "synthetic", "iters": 2, "ranks": 4}]}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := gb.ScenarioCells(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, gb.ErrBadSpec) || !strings.Contains(err.Error(), "jobs") {
+			t.Errorf("%s with WithCellMetrics on a jobs scenario: got %v, want ErrBadSpec naming the jobs", what, err)
+		}
+	}
+	for _, err := range gb.Sweep(ctx, sc, gb.WithCellMetrics()) {
+		bad("Sweep", err)
+	}
+	_, err = gb.SweepTable(ctx, sc, gb.WithCellMetrics())
+	bad("SweepTable", err)
+	_, err = gb.RunCell(ctx, sc, cells[0], gb.WithCellMetrics())
+	bad("RunCell", err)
+	if _, err := gb.RunCell(ctx, sc, cells[0]); err != nil {
+		t.Fatalf("RunCell without WithCellMetrics: %v", err)
+	}
+}
+
 // TestSweepSeedOverride: WithSeed must change cell seeds without touching
 // the caller's spec.
 func TestSweepSeedOverride(t *testing.T) {

@@ -58,10 +58,6 @@ type Config struct {
 	// ImageBytes gives the checkpoint image size of a rank (the
 	// workload's memory footprint plus runtime overhead).
 	ImageBytes func(rank int) int64
-	// BgFlushRate is the background log-flusher rate (bytes/s): logs are
-	// written to disk asynchronously during execution and only the tail
-	// is synced at checkpoint time.
-	BgFlushRate float64
 	// OnCut, when non-nil, receives each rank's cut state the moment its
 	// group channels are drained (end of the Coordination stage, gates
 	// still closed); on a partitioned world, at the next round barrier, in
@@ -78,6 +74,10 @@ const (
 	// logCopyRate is the sender-side memory-copy bandwidth of
 	// asynchronous message logging (bytes/s).
 	logCopyRate = 400e6
+	// bgFlushRate is the background log-flusher rate (bytes/s): logs are
+	// written to disk asynchronously during execution and only the tail
+	// is synced at checkpoint time.
+	bgFlushRate = 20e6
 	// lockDelay is the base cost of the "Lock MPI" stage (signal
 	// delivery, stopping in-progress operations). Daemon noise is added
 	// on top, which is what produces NORM's coordination spikes.
@@ -110,10 +110,9 @@ type Cut struct {
 // DefaultConfig fills in the calibrated defaults used across experiments.
 func DefaultConfig(f group.Formation, imageBytes func(int) int64) Config {
 	return Config{
-		Formation:   f,
-		Store:       cluster.LocalDisk{},
-		ImageBytes:  imageBytes,
-		BgFlushRate: 20e6,
+		Formation:  f,
+		Store:      cluster.LocalDisk{},
+		ImageBytes: imageBytes,
 	}
 }
 
@@ -154,11 +153,10 @@ func NewEngine(w *mpi.World, cfg Config) *Engine {
 	for _, r := range w.Ranks {
 		st := &rankState{
 			members: cfg.Formation.Members(r.ID),
-			logs:    mlog.NewSet(r.ID, logCopyRate),
+			logs:    mlog.NewSet(r.ID, logCopyRate, bgFlushRate),
 			rr:      map[int]int64{},
 			needPB:  map[int]bool{},
 		}
-		st.logs.BgFlushRate = cfg.BgFlushRate
 		e.states = append(e.states, st)
 	}
 	w.Hooks = e

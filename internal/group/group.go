@@ -5,9 +5,8 @@
 // consumed in descending (size, count) order and greedily merged into groups
 // subject to a maximum group size G (default ⌈√n⌉). The package also
 // provides the fixed formations used as baselines in the paper's evaluation
-// (NORM: one global group; GP1: singletons; GPk: k contiguous-rank groups),
-// a group-definition file format, and the dynamic merge-on-message scheme
-// from related work (Gopalan–Nagarajan) that the paper contrasts with.
+// (NORM: one global group; GP1: singletons; GPk: k contiguous-rank groups)
+// and a group-definition file format.
 package group
 
 import (
@@ -63,6 +62,16 @@ func (f *Formation) MaxGroupSize() int {
 		}
 	}
 	return max
+}
+
+// Sizes returns the sorted group sizes of a formation (diagnostics).
+func (f *Formation) Sizes() []int {
+	sizes := make([]int, len(f.Groups))
+	for i, g := range f.Groups {
+		sizes[i] = len(g)
+	}
+	sort.Ints(sizes)
+	return sizes
 }
 
 // Validate checks that the formation is a disjoint cover of 0..N-1.

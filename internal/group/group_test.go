@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -254,28 +253,6 @@ func TestReadFromAllowsComments(t *testing.T) {
 	}
 	if len(f.Groups) != 2 {
 		t.Errorf("groups = %v", f.Groups)
-	}
-}
-
-func TestDynamicCollapsesConnectedGraph(t *testing.T) {
-	// A message chain 0→1→2→3 collapses everything into one group —
-	// the failure mode the paper criticizes in related work.
-	var recs []trace.Record
-	for i := 0; i < 3; i++ {
-		recs = append(recs, trace.Record{T: sim.Seconds(float64(i)), Src: i, Dst: i + 1, Bytes: 10})
-	}
-	f := Dynamic(recs, 4)
-	if len(f.Groups) != 1 {
-		t.Errorf("Dynamic groups = %v, want single group", f.Groups)
-	}
-	// Disconnected components stay separate.
-	recs2 := []trace.Record{
-		{Src: 0, Dst: 1, Bytes: 1},
-		{Src: 2, Dst: 3, Bytes: 1},
-	}
-	f2 := Dynamic(recs2, 4)
-	if len(f2.Groups) != 2 {
-		t.Errorf("Dynamic disconnected = %v", f2.Groups)
 	}
 }
 

@@ -116,9 +116,10 @@ type Set struct {
 
 // NewSet returns an empty log set for the given rank. copyRate models the
 // sender-side overhead of asynchronous logging (a memory copy); zero
-// disables the cost.
-func NewSet(rank int, copyRate float64) *Set {
-	return &Set{Rank: rank, CopyRate: copyRate, logs: map[int]*Log{}}
+// disables the cost. bgFlushRate is the background flusher's rate; zero
+// disables background flushing.
+func NewSet(rank int, copyRate, bgFlushRate float64) *Set {
+	return &Set{Rank: rank, CopyRate: copyRate, BgFlushRate: bgFlushRate, logs: map[int]*Log{}}
 }
 
 // Log records a message of the given size destined for dst at virtual time

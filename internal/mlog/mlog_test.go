@@ -8,7 +8,7 @@ import (
 )
 
 func TestLogAppendAndPending(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	s.Log(1, 100, 0)
 	s.Log(1, 200, 0)
 	s.Log(2, 50, 0)
@@ -31,19 +31,19 @@ func TestLogAppendAndPending(t *testing.T) {
 }
 
 func TestLogCopyCost(t *testing.T) {
-	s := NewSet(0, 100e6) // 100 MB/s copy
+	s := NewSet(0, 100e6, 0) // 100 MB/s copy
 	d := s.Log(1, 50_000_000, 0)
 	if d != sim.Seconds(0.5) {
 		t.Errorf("copy delay = %v, want 0.5s", d)
 	}
-	free := NewSet(0, 0)
+	free := NewSet(0, 0, 0)
 	if d := free.Log(1, 1<<30, 0); d != 0 {
 		t.Errorf("zero CopyRate delay = %v", d)
 	}
 }
 
 func TestGCDiscardsWholeEntriesOnly(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	s.Log(1, 100, 0) // offsets 0..100
 	s.Log(1, 100, 0) // 100..200
 	s.Log(1, 100, 0) // 200..300
@@ -76,14 +76,14 @@ func TestGCDiscardsWholeEntriesOnly(t *testing.T) {
 }
 
 func TestGCUnknownPeer(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	if freed := s.GC(42, 1000); freed != 0 {
 		t.Errorf("GC on unknown peer freed %d", freed)
 	}
 }
 
 func TestReplayPlanRange(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	s.Log(1, 100, 0) // 0..100
 	s.Log(1, 100, 0) // 100..200
 	s.Log(1, 100, 0) // 200..300
@@ -106,7 +106,7 @@ func TestReplayPlanRange(t *testing.T) {
 }
 
 func TestReplayAfterGC(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	for i := 0; i < 5; i++ {
 		s.Log(1, 100, 0)
 	}
@@ -118,14 +118,14 @@ func TestReplayAfterGC(t *testing.T) {
 }
 
 func TestReplayUnknownPeerNothingOwed(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	if p := s.Replay(9, 0, 0); p.Bytes != 0 {
 		t.Errorf("plan = %+v", p)
 	}
 }
 
 func TestReplayUnknownPeerOwedPanics(t *testing.T) {
-	s := NewSet(0, 0)
+	s := NewSet(0, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("missing log with owed bytes did not panic")
@@ -139,7 +139,7 @@ func TestReplayUnknownPeerOwedPanics(t *testing.T) {
 // equal the requested range.
 func TestLogInvariantsProperty(t *testing.T) {
 	f := func(sizes []uint8, gcSeed uint16) bool {
-		s := NewSet(0, 0)
+		s := NewSet(0, 0, 0)
 		var total int64
 		for _, sz := range sizes {
 			b := int64(sz) + 1
@@ -180,8 +180,7 @@ func TestLogInvariantsProperty(t *testing.T) {
 }
 
 func TestBackgroundFlusherDrainsPending(t *testing.T) {
-	s := NewSet(0, 0)
-	s.BgFlushRate = 100 // 100 B/s
+	s := NewSet(0, 0, 100) // background flush at 100 B/s
 	s.Log(1, 1000, 0)
 	// 5 s later: 500 bytes drained in the background.
 	s.Log(1, 0, 5*sim.Second)

@@ -56,26 +56,9 @@ func (s *Spec) runJobsCell(ctx context.Context, c Cell, ins Instrument) (*harnes
 	agg := &harness.Result{N: c.Scale, Name: string(mode)}
 	runner := func(job jobs.Job) (jobs.Outcome, error) {
 		tp := j.Templates[job.Template]
-		inner := harness.Spec{
-			WL:                tp.Build(job.Ranks),
-			Mode:              mode,
-			Seed:              job.Seed,
-			Cluster:           clusterCfg,
-			Sched:             s.Checkpoint.schedule(),
-			GroupMax:          s.GroupMax,
-			RemoteServers:     s.RemoteServers,
-			RemoteAsync:       s.RemoteAsync,
-			Horizon:           sim.Seconds(ins.HorizonS),
-			RunWorkers:        ins.RunWorkers,
-			PartitionMinRanks: ins.PartitionMinRanks,
-		}
-		if s.Failures != nil {
-			proc, err := s.Failures.process()
-			if err != nil {
-				return jobs.Outcome{}, err
-			}
-			inner.FailureProc = proc
-			inner.MaxFailures = s.Failures.Max
+		inner, err := s.harnessSpec(tp.Build(job.Ranks), mode, job.Seed, clusterCfg, ins)
+		if err != nil {
+			return jobs.Outcome{}, err
 		}
 		res, err := harness.Run(ctx, inner)
 		if err != nil {

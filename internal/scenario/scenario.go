@@ -8,10 +8,12 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Instrument selects per-cell introspection for RunObserved. The zero value
@@ -120,16 +122,28 @@ func (s *Spec) RunCell(ctx context.Context, c Cell, ins Instrument) (*harness.Re
 	if err != nil {
 		return nil, err
 	}
+	spec, err := s.harnessSpec(s.Workload.Build(c.Scale), harness.Mode(c.Mode), c.Seed, clusterCfg, ins)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	spec.Observers = ins.observers(c.Scale)
+	return harness.Run(ctx, spec)
+}
+
+// harnessSpec is one simulation under the spec: wl in mode at seed on
+// cluster cl, with the spec's checkpoint schedule, grouping, storage and
+// failure process, and the kernel settings ins selects. It carries no
+// observers; RunCell adds the cell's.
+func (s *Spec) harnessSpec(wl workload.Workload, mode harness.Mode, seed int64, cl cluster.Config, ins Instrument) (harness.Spec, error) {
 	spec := harness.Spec{
-		WL:                s.Workload.Build(c.Scale),
-		Mode:              harness.Mode(c.Mode),
-		Seed:              c.Seed,
-		Cluster:           clusterCfg,
+		WL:                wl,
+		Mode:              mode,
+		Seed:              seed,
+		Cluster:           cl,
 		Sched:             s.Checkpoint.schedule(),
 		GroupMax:          s.GroupMax,
 		RemoteServers:     s.RemoteServers,
 		RemoteAsync:       s.RemoteAsync,
-		Observers:         ins.observers(c.Scale),
 		Horizon:           sim.Seconds(ins.HorizonS),
 		RunWorkers:        ins.RunWorkers,
 		PartitionMinRanks: ins.PartitionMinRanks,
@@ -137,12 +151,12 @@ func (s *Spec) RunCell(ctx context.Context, c Cell, ins Instrument) (*harness.Re
 	if s.Failures != nil {
 		proc, err := s.Failures.process()
 		if err != nil {
-			return nil, fmt.Errorf("scenario %q: failures: %w", s.Name, err)
+			return harness.Spec{}, fmt.Errorf("failures: %w", err)
 		}
 		spec.FailureProc = proc
 		spec.MaxFailures = s.Failures.Max
 	}
-	return harness.Run(ctx, spec)
+	return spec, nil
 }
 
 // RunObserved executes the sweep — Scales × Modes × Reps independent

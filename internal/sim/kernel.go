@@ -127,38 +127,44 @@ type partition struct {
 	live   int // non-daemon processes that have not finished
 	rng    *rand.Rand
 	events uint64
-	bound  Time  // exclusive upper bound of the current window
-	open   bool  // a window is in progress: the only time CrossAt1 may stage
-	outbox []xev // cross-partition events staged this window
-	fault  any   // a panic recovered from this partition's window by a pool member
+	bound  Time    // exclusive upper bound of the current window
+	open   bool    // a window is in progress: the only time CrossAt1 may stage
+	outbox []xev   // cross-partition events staged this window
+	depths []int32 // queue-depth samples taken this window, for closeRound to observe
+	fault  any     // a panic recovered from this partition's window by a pool member
 }
+
+// depthSampleEvery is the sim_queue_depth sampling period: with metrics
+// attached, a partition records its queue depth at every depthSampleEvery-th
+// event it processes. The sample depends only on the partition's own event
+// sequence, so the histogram is the same at every worker count.
+const depthSampleEvery = 32
 
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
 // construct with NewKernel.
 //
 // Simulated processes are coroutines (iter.Pull), each resumed by a home
-// loop (drive): Run's goroutine at one worker, or the pool member running
-// the window above that. A blocking process runs its partition's event loop
-// itself (dispatch): callbacks run inline, and when the next wakeup is its
-// own it keeps running with no switch at all. Otherwise it yields the
-// process to resume next to the home loop, which resumes it — two coroutine
-// switches, with no run queue, thread wakeup or channel in between. At one
-// worker the event loop also carries the coordinator (see dispatch), so the
-// home loop ends only when the run does.
+// loop (drive): the pool member running the partition's window. A blocking
+// process runs its partition's event loop itself (dispatch): callbacks run
+// inline, and when the next wakeup is its own it keeps running with no
+// switch at all. Otherwise it yields the process to resume next to the home
+// loop, which resumes it — two coroutine switches, with no run queue, thread
+// wakeup or channel in between. The home loop ends with the window.
 //
-// A kernel starts with a single partition, which behaves exactly like the
-// classic serial kernel. SetPartitions splits the simulation into
-// independent sub-kernels synchronized by conservative lookahead: the
-// coordinator repeatedly computes the window [T, T + lookahead) — T being
-// the smallest next-event time across partitions, the window further capped
-// by the next global event and the horizon — lets each partition process
-// all its events strictly inside the window — in parallel, on a pool of up
-// to SetRunWorkers goroutines — then merges the cross-partition events staged
-// during the round. Every cross-partition event carries at least one
-// lookahead of delay, so nothing generated during a round (by any chain of
-// hops) can land inside it. Because the windows and the merge order depend
-// only on event timestamps (never on which goroutine ran what when), the
-// simulation is byte-identical at every worker count, including 1.
+// Run advances virtual time in rounds: the coordinator opens a window, the
+// partitions whose next events fall inside it process them — in parallel,
+// on a pool of up to SetRunWorkers goroutines — and the coordinator closes
+// the round by merging the cross-partition events staged during it. A
+// kernel starts with a single partition, the classic serial kernel: its one
+// round's window runs to the horizon. SetPartitions splits the simulation
+// into independent sub-kernels synchronized by conservative lookahead: each
+// window is [T, T + lookahead) — T being the smallest next-event time across
+// partitions, the window further capped by the next global event and the
+// horizon. Every cross-partition event carries at least one lookahead of
+// delay, so nothing generated during a round (by any chain of hops) can
+// land inside it. Because the windows and the merge order depend only on
+// event timestamps (never on which goroutine ran what when), the simulation
+// is byte-identical at every worker count, including 1.
 type Kernel struct {
 	parts []*partition
 	rng   *rand.Rand // master stream: construction-time draws + partition 0
@@ -174,13 +180,11 @@ type Kernel struct {
 
 	lookahead Time // minimum cross-partition event delay; > 0 when partitioned
 	workers   int  // max partitions executing concurrently per round
-	members   int  // this Run's pool size; 1: the event loop carries the coordinator
+	members   int  // this Run's pool size, Run's goroutine included
 
-	// Round state, owned by whoever coordinates: Run's goroutine under a
-	// worker pool, the event loop itself on a one-worker kernel.
+	// Round state, owned by the coordinator (Run's goroutine).
 	runnable []*partition // the open round's partitions, in partition order
-	cursor   int          // next runnable partition to step (carried rounds)
-	err      error        // the run's outcome, recorded by whoever ends it
+	err      error        // the run's outcome
 
 	barriers []func() // flush hooks, run after every round merge
 
@@ -495,7 +499,8 @@ func (k *Kernel) Shutdown() {
 // processed is false when nothing remains runnable — the queue drained or
 // the next event lies at or beyond the window bound. dispatch is the one
 // loop around it, so every event kind is handled identically whoever runs
-// the event loop.
+// the event loop. step records no metric: the coordinator folds in the
+// partition's event count and queue-depth samples.
 func (pt *partition) step() (resume *Proc, processed bool) {
 	k := pt.k
 	if k.intr.Load() {
@@ -513,9 +518,8 @@ func (pt *partition) step() (resume *Proc, processed bool) {
 	}
 	pt.now = ev.at
 	pt.events++
-	if m := k.metrics; m != nil {
-		m.Events.Inc()
-		m.QueueDepth.Observe(float64(pt.eq.Len()))
+	if pt.events%depthSampleEvery == 0 && k.metrics != nil {
+		pt.depths = append(pt.depths, int32(pt.eq.Len()))
 	}
 	switch {
 	case ev.p != nil:
@@ -533,78 +537,33 @@ func (pt *partition) step() (resume *Proc, processed bool) {
 	return nil, true
 }
 
-// dispatch runs the event loop, starting in partition pt, up to the next
-// valid process wakeup and returns that process. A blocking process calling
-// it may get itself back (its own wakeup was next: it keeps running, no
-// switch at all); any other process is for the home loop to resume. nil
-// means nothing is left to step.
-//
-// When pt's window is exhausted, a one-worker kernel carries the
-// coordinator along: the same event loop steps the round's next runnable
-// partition, or closes the round and opens the next one (nextWindow), so
-// nil comes back only when the run ends. Under a worker pool, nil ends the
+// dispatch runs partition pt's event loop up to the next valid process
+// wakeup and returns that process. A blocking process calling it may get
+// itself back (its own wakeup was next: it keeps running, no switch at
+// all); any other process is for the home loop to resume. nil ends the
 // window.
-func (k *Kernel) dispatch(pt *partition) *Proc {
+func (pt *partition) dispatch() *Proc {
 	for {
-		p, processed := pt.step()
-		if processed {
-			if p != nil {
-				return p
-			}
-			continue
-		}
-		if k.members > 1 {
-			return nil
-		}
-		if pt = k.nextWindow(); pt == nil {
-			return nil
+		if p, processed := pt.step(); p != nil || !processed {
+			return p
 		}
 	}
 }
 
-// drive is the home loop: it steps partition pt and resumes each process
+// drive is the home loop of partition pt's window: it resumes each process
 // dispatch names, until dispatch names none. A resumed process runs until it
 // blocks and yields back the process its own dispatch named, or until it
-// finishes; then the event loop continues from its partition, the one it was
-// stepped from. A panic in a process body propagates out of next, and so out
-// of drive.
-func (k *Kernel) drive(pt *partition) {
-	p := k.dispatch(pt)
+// finishes and the home loop dispatches again. A panic in a process body
+// propagates out of next, and so out of drive.
+func (pt *partition) drive() {
+	p := pt.dispatch()
 	for p != nil {
 		q, ok := p.next()
 		if !ok {
-			q = k.dispatch(p.pt)
+			q = pt.dispatch()
 		}
 		p = q
 	}
-}
-
-// nextWindow is the one-worker coordinator, run by whichever event loop
-// exhausts a window. It returns the partition to step next: the open
-// round's next runnable partition or, once the round is done, the first
-// runnable partition of the next one. nil means the run is over, with its
-// outcome in k.err.
-func (k *Kernel) nextWindow() *partition {
-	switch {
-	case k.intr.Load():
-		k.err = ErrCanceled
-		return nil
-	case len(k.parts) == 1:
-		// A serial kernel's only window runs to the horizon.
-		if k.parts[0].eq.Len() == 0 {
-			k.err = k.deadlockCheck()
-		}
-		return nil
-	case k.cursor < len(k.runnable):
-		k.cursor++
-		return k.runnable[k.cursor-1]
-	}
-	k.closeRound()
-	if !k.openRound() {
-		return nil
-	}
-	k.cursor = 1
-	return k.runnable[0]
 }
 
 // horizonBound converts the horizon into an exclusive window bound.
@@ -619,37 +578,37 @@ func (k *Kernel) horizonBound() Time {
 // It returns a *DeadlockError if live processes remain blocked with nothing
 // scheduled, and nil otherwise.
 //
-// A single-partition kernel is the classic serial event loop: one heap, one
-// clock, one window running to the horizon. A partitioned kernel proceeds in
-// lookahead rounds (openRound, the windows, closeRound). At one worker the
-// rounds are driven by the event loop itself (dispatch); above that, Run's
-// goroutine coordinates a worker pool through the same two functions. The
-// pool has min(SetRunWorkers, partitions, GOMAXPROCS) members, Run's
-// goroutine among them; with one member the run is carried.
+// Run's goroutine coordinates the run in rounds — openRound, the windows on
+// the worker pool (pool.runRound), closeRound — whatever the partition and
+// worker counts. The pool has max(1, min(SetRunWorkers, partitions,
+// GOMAXPROCS)) members, Run's goroutine among them. A single-partition
+// kernel is the classic serial event loop: one heap, one clock, one round
+// whose window runs to the horizon.
 //
 // A panic in a process body or an event callback surfaces from Run on the
-// caller's goroutine, at every worker count: under a worker pool the first
-// panic of a round in partition order, once the round's other windows are
-// done. Every pool helper has exited by the time Run returns or panics.
-// Shutdown still reaps the remaining processes afterwards.
+// caller's goroutine, at every worker count: the first panic of a round in
+// partition order, once the round's other windows are done. Every pool
+// helper has exited by the time Run returns or panics. Shutdown still reaps
+// the remaining processes afterwards.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	events := k.Events()
+	defer func() {
+		k.running = false
+		if m := k.metrics; m != nil {
+			m.Events.Add(int64(k.Events() - events))
+		}
+	}()
 
-	if m := k.metrics; m != nil && m.Partitions != nil {
+	if m := k.metrics; m != nil {
 		m.Partitions.Set(float64(len(k.parts)))
 	}
 	k.err = nil
-	k.members = min(k.workers, len(k.parts), runtime.GOMAXPROCS(0))
-	if k.members <= 1 {
-		k.members = 1
-		k.runCarried()
-	} else {
-		k.runPool()
-	}
+	k.members = max(1, min(k.workers, len(k.parts), runtime.GOMAXPROCS(0)))
+	k.runPool()
 	if k.err == nil {
 		// Final flush: barrier hooks see the fully-drained state exactly
 		// once more, whatever path ended the run.
@@ -660,28 +619,11 @@ func (k *Kernel) Run() error {
 	return k.err
 }
 
-// runCarried opens the first window and makes Run's goroutine the home
-// loop for the whole run: the event loop carries the coordinator from
-// window to window, so drive returns only when the run is over.
-func (k *Kernel) runCarried() {
-	first := k.parts[0]
-	if len(k.parts) == 1 {
-		first.bound = k.horizonBound()
-	} else {
-		if !k.openRound() {
-			return
-		}
-		k.cursor = 1
-		first = k.runnable[0]
-	}
-	k.drive(first)
-}
-
-// runPool is the multi-worker coordinator loop: Run's goroutine starts the
-// pool's helpers, then opens each round, runs its windows with them, and
-// closes it. The helpers live until the run ends, however it ends: the
-// deferred stop waits for every one of them to exit, so none outlives Run —
-// not even when a round's fault is raised again here.
+// runPool is the coordinator loop: Run's goroutine starts the pool's
+// helpers, then opens each round, runs its windows with them, and closes
+// it. The helpers live until the run ends, however it ends: the deferred
+// stop waits for every one of them to exit, so none outlives Run — not even
+// when a round's fault is raised again here.
 func (k *Kernel) runPool() {
 	pl := newPool(k)
 	defer pl.stop()
@@ -695,12 +637,13 @@ func (k *Kernel) runPool() {
 	}
 }
 
-// openRound opens the next lookahead window. It first runs every global
-// event that precedes all partition heads, then fixes the window bound and
-// selects the partitions whose heads fall inside it. It returns false when
-// the run is over, with the outcome in k.err.
+// openRound opens the next window. It first runs every global event that
+// precedes all partition heads, then fixes the window bound and selects the
+// partitions whose heads fall inside it. It returns false when the run is
+// over, with the outcome in k.err.
 func (k *Kernel) openRound() bool {
 	hcap := k.horizonBound()
+	partitioned := len(k.parts) > 1
 	for {
 		if k.intr.Load() {
 			k.err = ErrCanceled
@@ -721,14 +664,14 @@ func (k *Kernel) openRound() bool {
 			G = k.gq.peek().at
 		}
 		if min1 == infTime && G == infTime {
-			k.finishPartitioned(k.deadlockCheck()) // drained
+			k.finish(k.deadlockCheck()) // drained
 			return false
 		}
 		if G <= min1 {
 			// Every partition has consumed all events strictly before G:
 			// the global event observes a deterministic quiesced state.
 			if G >= hcap {
-				k.finishPartitioned(nil) // beyond horizon; events remain
+				k.finish(nil) // beyond horizon; events remain
 				return false
 			}
 			ev := k.gq.pop()
@@ -737,9 +680,6 @@ func (k *Kernel) openRound() bool {
 			}
 			k.gnow = ev.at
 			k.gevents++
-			if m := k.metrics; m != nil {
-				m.Events.Inc()
-			}
 			switch {
 			case ev.fn != nil:
 				ev.fn()
@@ -749,7 +689,7 @@ func (k *Kernel) openRound() bool {
 			continue
 		}
 		if min1 >= hcap {
-			k.finishPartitioned(nil) // horizon reached; events remain
+			k.finish(nil) // horizon reached; events remain
 			return false
 		}
 		// This round's window is [min1, min1 + lookahead), further capped
@@ -764,13 +704,11 @@ func (k *Kernel) openRound() bool {
 		// during the round — however many cross-partition hops produced
 		// it — lies at or beyond the window's end. A partition whose head
 		// is at or beyond the window sits the round out: a lookahead
-		// stall.
-		bound := min1 + k.lookahead
-		if G < bound {
-			bound = G
-		}
-		if hcap < bound {
-			bound = hcap
+		// stall. A serial kernel has no lookahead to respect: its one
+		// window runs to the horizon.
+		bound := min(G, hcap)
+		if partitioned {
+			bound = min(bound, min1+k.lookahead)
 		}
 		k.runnable = k.runnable[:0]
 		stalled := 0
@@ -788,27 +726,34 @@ func (k *Kernel) openRound() bool {
 		}
 		if len(k.runnable) == 0 {
 			// Unreachable: the partition holding min1 is always runnable —
-			// lookahead > 0, G > min1, and hcap > min1 all hold here.
+			// G > min1 and hcap > min1 hold here, and so does lookahead > 0
+			// when it bounds the window.
 			panic("sim: lookahead deadlock — no runnable partition")
 		}
-		if m := k.metrics; m != nil && m.Rounds != nil {
+		if m := k.metrics; m != nil && partitioned {
 			m.Rounds.Inc()
-		}
-		if m := k.metrics; m != nil && stalled > 0 && m.LookaheadStalls != nil {
 			m.LookaheadStalls.Add(int64(stalled))
 		}
 		return true
 	}
 }
 
-// closeRound merges the cross-partition events staged during the round and
-// runs the barrier hooks. Only the partitions that ran can have staged any
-// (CrossAt1 refuses outside a window), so the merge visits just those, in
-// partition order then staging order — a worker-count-independent total
-// order. Each destination assigns its own fresh sequence numbers.
+// closeRound observes the round's queue-depth samples, merges the
+// cross-partition events staged during the round and, on a partitioned
+// kernel, runs the barrier hooks. Only the partitions that ran can have
+// sampled or staged anything (CrossAt1 refuses outside a window), so both
+// visit just those, in partition order then sampling or staging order — a
+// worker-count-independent total order. Each destination assigns its own
+// fresh sequence numbers.
 func (k *Kernel) closeRound() {
 	for _, pt := range k.runnable {
 		pt.open = false
+		if m := k.metrics; m != nil {
+			for _, d := range pt.depths {
+				m.QueueDepth.Observe(float64(d))
+			}
+			pt.depths = pt.depths[:0]
+		}
 		for i := range pt.outbox {
 			x := &pt.outbox[i]
 			d := k.parts[x.dst]
@@ -822,15 +767,18 @@ func (k *Kernel) closeRound() {
 		}
 		pt.outbox = pt.outbox[:0]
 	}
+	if len(k.parts) == 1 {
+		return // a serial kernel's hooks fire only for the final flush
+	}
 	for _, fn := range k.barriers {
 		fn()
 	}
 }
 
-// finishPartitioned records the run's outcome and advances the global clock
-// to the completion time, so post-run Now() reports when the simulation
-// ended.
-func (k *Kernel) finishPartitioned(err error) {
+// finish records the run's outcome and advances the global clock to the
+// completion time, so post-run Now() on a partitioned kernel reports when
+// the simulation ended.
+func (k *Kernel) finish(err error) {
 	for _, pt := range k.parts {
 		if pt.now > k.gnow {
 			k.gnow = pt.now
@@ -849,9 +797,9 @@ func (k *Kernel) finishPartitioned(err error) {
 // (Karlin et al. 1991).
 const spinBudget = 50 * time.Microsecond
 
-// pool runs a partitioned kernel's windows for the length of one Run. Its
-// members are Run's goroutine — the coordinator, which also runs windows —
-// and k.members-1 helper goroutines. A helper learns of a round from the
+// pool runs a kernel's windows for the length of one Run. Its members are
+// Run's goroutine — the coordinator, which also runs windows — and
+// k.members-1 helper goroutines, none for a one-member pool. A helper learns of a round from the
 // epoch counter and claims the round's partitions from the shared span, as
 // the coordinator does; whoever claims a window runs it. Work distribution
 // is irrelevant to the result: partitions share nothing within a round.
@@ -907,7 +855,7 @@ func (pl *pool) stop() {
 func (pl *pool) runRound() {
 	k := pl.k
 	if len(k.runnable) == 1 {
-		k.drive(k.runnable[0])
+		k.runnable[0].drive()
 		return
 	}
 	pl.span.Store(uint64(len(k.runnable)) << 32)
@@ -1004,7 +952,7 @@ func (pl *pool) notify(c *sync.Cond, parked *atomic.Int32) {
 // recording a panic in pt.fault instead of letting it kill the process.
 func runWindow(pt *partition) {
 	defer func() { pt.fault = recover() }()
-	pt.k.drive(pt)
+	pt.drive()
 }
 
 // deadlockCheck reports blocked live processes after the queues drained.

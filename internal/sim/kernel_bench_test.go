@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // BenchmarkKernelEventChurn keeps a deep heap of self-rescheduling callbacks
@@ -157,13 +159,8 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 // one partition on, so a round runs about 30 events in each of about 8
 // partitions: few runnable partitions out of 64, each with microseconds
 // of work, the shape of the paper-scale GP1 cell's rounds. One op is one
-// hop; ns/round is the run's wall time over its rounds.
-//
-// No metrics are attached: sim_events_total and sim_queue_depth are
-// updated at every event, and pool members updating the same atomics would
-// time the contention on them instead of the rounds. A barrier hook counts
-// the rounds instead; it fires once per round, as sim_rounds_total counts,
-// and once more for the final flush.
+// hop; ns/round is the run's wall time over its rounds. The kernel's
+// metrics are attached, as on a traced run, and count the rounds.
 func BenchmarkPartitionedRounds(b *testing.B) {
 	const (
 		parts     = 64
@@ -174,10 +171,10 @@ func BenchmarkPartitionedRounds(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			k := NewKernel(1)
+			col := metrics.New()
+			k.SetMetrics(NewMetrics(col))
 			k.SetPartitions(parts, lookahead)
 			k.SetRunWorkers(workers)
-			hooks := 0
-			k.OnBarrier(func() { hooks++ })
 			hops := b.N/parts + 1 // tokens each player receives
 			var mbs [parts]*Mailbox
 			var deliver [parts]func(any)
@@ -208,7 +205,8 @@ func BenchmarkPartitionedRounds(b *testing.B) {
 			}
 			b.StopTimer()
 			k.Shutdown()
-			rounds := float64(hooks - 1)
+			n, _ := col.Snapshot().Counter("sim_rounds_total")
+			rounds := float64(n)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rounds, "ns/round")
 			b.ReportMetric(float64(k.Events())/rounds, "events/round")
 		})

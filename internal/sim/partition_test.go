@@ -13,8 +13,9 @@ import (
 
 // The partitioned kernel's contract, tested directly on small models: the
 // worker count changes nothing observable. Each model runs at RunWorkers 1
-// (the event loop carries the coordinator) and 2 and 4 (the worker pool),
-// and every log line, event count, stall count and round count must agree.
+// (a pool of one: the coordinator runs every window) and 2 and 4 (pools
+// with helpers), and every log line, event count, stall count and round
+// count must agree.
 
 const (
 	ringParts     = 4
@@ -290,8 +291,9 @@ func TestCrossAt1RefusesOutsideWindow(t *testing.T) {
 	_ = k.Run()
 }
 
-// TestSerialKernelBarrierFiresOnce: a single-partition kernel opens no
-// rounds, and its barrier hooks fire only for the final flush.
+// TestSerialKernelBarrierFiresOnce: a single-partition kernel counts no
+// rounds — its one window runs to the horizon — and its barrier hooks fire
+// only for the final flush.
 func TestSerialKernelBarrierFiresOnce(t *testing.T) {
 	k := NewKernel(1)
 	col := metrics.New()

@@ -42,7 +42,7 @@ func (p *Proc) Now() Time { return p.pt.now }
 func (p *Proc) block(state string) {
 	p.state = state
 	p.blocked = true
-	if q := p.pt.k.dispatch(p.pt); q != p && !p.yield(q) {
+	if q := p.pt.dispatch(); q != p && !p.yield(q) {
 		// Stopped by Kernel.Shutdown: unwind this coroutine instead of
 		// continuing the (finished) simulation. Recovered in the spawn
 		// wrapper.

@@ -149,13 +149,13 @@ func TestCheckCellDetectsDoctoredResults(t *testing.T) {
 
 	// Inter-group traffic with no sender log, and over-aggressive GC.
 	res = cleanResult()
-	res.Logs = []*mlog.Set{mlog.NewSet(0, 0), mlog.NewSet(1, 0)}
+	res.Logs = []*mlog.Set{mlog.NewSet(0, 0, 0), mlog.NewSet(1, 0, 0)}
 	mustViolate(t, res, "no sender log")
 
 	// Receiver consumed only 40 of the 100 logged bytes; GC to 100 threw
 	// away replay evidence.
 	res = cleanResult()
-	res.Logs = []*mlog.Set{mlog.NewSet(0, 0), mlog.NewSet(1, 0)}
+	res.Logs = []*mlog.Set{mlog.NewSet(0, 0, 0), mlog.NewSet(1, 0, 0)}
 	res.Logs[0].Log(1, 100, 0)
 	res.Logs[0].GC(1, 100)
 	res.Flows[0] = mpi.PairFlow{Src: 0, Dst: 1, Sent: 100, Recvd: 100, Consumed: 40}

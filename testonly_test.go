@@ -17,10 +17,8 @@ import (
 // testOnlyAllowed lists the declarations under internal/ that only tests
 // use and that stay anyway, each with the reason it earns its place.
 var testOnlyAllowed = map[string]string{
-	"internal/group.Dynamic":           "the per-phase formation BenchmarkAblationDynamicGrouping weighs against Algorithm 2",
-	"internal/group.DynamicFromMatrix": "Dynamic over the streaming matrix, the form BenchmarkAblationDynamicGrouping's pipeline records",
-	"internal/group.FromTrace":         "the record-driven reference that FromMatrix is checked against",
-	"internal/paper.ResetCaches":       "the root benchmarks clear the figure memos between iterations",
+	"internal/group.FromTrace":   "the record-driven reference that FromMatrix is checked against",
+	"internal/paper.ResetCaches": "the root benchmarks clear the figure memos between iterations",
 }
 
 // standardMethods are method names the standard library calls through an

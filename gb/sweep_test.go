@@ -3,6 +3,7 @@ package gb_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ func fastScenario(t *testing.T) *gb.Scenario {
 		"modes": ["GP", "GP1"],
 		"checkpoint": {"atS": 0.5},
 		"reps": 2,
+		"reps": 1,
 		"seed": 3
 	}`))
 	if err != nil {
@@ -298,5 +300,53 @@ func TestExperimentRegistryFacade(t *testing.T) {
 	}
 	if len(tables) == 0 || len(tables[0].Rows) == 0 {
 		t.Fatal("fig5 produced no rows")
+	}
+}
+
+// TestCellMetricsIdenticalAtEveryRunWorkers: a partitioned cell's metrics
+// snapshot is the same whole at every worker count. Pool members deliver
+// messages from concurrent partitions, so the message-latency histogram,
+// whose float sum and reservoir depend on the order of observations, must
+// be fed in an order the workers cannot change. GOMAXPROCS is raised to 4
+// so that a 2-core host still runs pools of 2 and 4 members.
+func TestCellMetricsIdenticalAtEveryRunWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sc, err := gb.ParseScenario(strings.NewReader(`{
+		"name": "gp1-2k-metrics",
+		"cluster": {"profile": "modern"},
+		"workload": {"kind": "synthetic", "iters": 4},
+		"scales": [2048],
+		"modes": ["GP1"],
+		"reps": 1,
+		"seed": 3
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := gb.ScenarioCells(sc)
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("ScenarioCells = %v, %v; want one cell", cells, err)
+	}
+	var want *gb.Result
+	for _, workers := range []int{1, 2, 4} {
+		res, err := gb.RunCell(context.Background(), sc, cells[0], gb.WithCellMetrics(), gb.WithRunWorkers(workers))
+		if err != nil {
+			t.Fatalf("RunWorkers %d: %v", workers, err)
+		}
+		if res.Metrics == nil {
+			t.Fatalf("RunWorkers %d: no metrics snapshot", workers)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Metrics, want.Metrics) {
+			for i, h := range res.Metrics.Histograms {
+				if i < len(want.Metrics.Histograms) && !reflect.DeepEqual(h, want.Metrics.Histograms[i]) {
+					t.Errorf("RunWorkers %d: %s sum %v, want %v at RunWorkers 1", workers, h.Name, h.Sum, want.Metrics.Histograms[i].Sum)
+				}
+			}
+			t.Errorf("RunWorkers %d: metrics snapshot differs from RunWorkers 1", workers)
+		}
 	}
 }

@@ -6,7 +6,9 @@
 package ckpt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -81,9 +83,33 @@ type Snapshot struct {
 	Epoch      int
 	At         sim.Time
 	ImageBytes int64
-	SentTo     map[int]int64 // S_X at the checkpoint, per peer
-	RecvdFrom  map[int]int64 // R_X at the checkpoint, per peer (the RR_X record)
+	Cuts       []PeerCut // one per recorded peer, sorted by Peer
 }
+
+// PeerCut is a snapshot's record of one peer: S_X and R_X at the
+// checkpoint, the bytes sent to the peer and the bytes consumed from it
+// (the RR_X record).
+type PeerCut struct {
+	Peer        int
+	Sent, Recvd int64
+}
+
+// cut returns the snapshot's record of peer, or the zero record.
+func (s *Snapshot) cut(peer int) PeerCut {
+	i, ok := slices.BinarySearchFunc(s.Cuts, peer, func(c PeerCut, p int) int { return cmp.Compare(c.Peer, p) })
+	if !ok {
+		return PeerCut{Peer: peer}
+	}
+	return s.Cuts[i]
+}
+
+// SentTo returns S_X for peer: the bytes sent to it at the checkpoint, 0 if
+// the snapshot does not record the peer.
+func (s *Snapshot) SentTo(peer int) int64 { return s.cut(peer).Sent }
+
+// RecvdFrom returns R_X for peer: the bytes consumed from it at the
+// checkpoint, 0 if the snapshot does not record the peer.
+func (s *Snapshot) RecvdFrom(peer int) int64 { return s.cut(peer).Recvd }
 
 // AggregateCheckpointTime sums per-rank checkpoint durations — the paper's
 // "summed checkpoint time" metric (Figures 6a, 11a, 12a), the total CPU time

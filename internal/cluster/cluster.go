@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -100,9 +99,9 @@ func Named(name string) (Config, bool) {
 type Node struct {
 	ID     int
 	Cfg    *Config
-	NICOut *sim.Resource
-	NICIn  *sim.Resource
-	Disk   *sim.Resource
+	NICOut sim.Resource
+	NICIn  sim.Resource
+	Disk   sim.Resource
 
 	k         *sim.Kernel
 	noiseRand *rand.Rand
@@ -127,9 +126,9 @@ func New(k *sim.Kernel, n int, cfg Config) *Cluster {
 		nd := &Node{
 			ID:     i,
 			Cfg:    &c.Cfg,
-			NICOut: sim.NewResource(k, fmt.Sprintf("nic-out%d", i), cfg.NICRate),
-			NICIn:  sim.NewResource(k, fmt.Sprintf("nic-in%d", i), cfg.NICRate),
-			Disk:   sim.NewResource(k, fmt.Sprintf("disk%d", i), cfg.DiskWrite),
+			NICOut: sim.NewResource(sim.L("nic-out", i), cfg.NICRate),
+			NICIn:  sim.NewResource(sim.L("nic-in", i), cfg.NICRate),
+			Disk:   sim.NewResource(sim.L("disk", i), cfg.DiskWrite),
 			k:      k,
 
 			noiseRand: sim.NewRand(k.Rand().Int63()),

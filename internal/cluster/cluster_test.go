@@ -22,7 +22,7 @@ func TestTransferTime(t *testing.T) {
 	cfg.Latency = sim.Millisecond
 	c := New(k, 2, cfg)
 	var sendDone, arrival sim.Time
-	k.Spawn("sender", func(p *sim.Proc) {
+	k.Spawn(sim.L("sender"), func(p *sim.Proc) {
 		arrival = c.Transfer(p, c.Nodes[0], c.Nodes[1], 1_000_000)
 		sendDone = p.Now()
 	})
@@ -43,7 +43,7 @@ func TestTransferSameNode(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, 1, quiet())
 	var arrival sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
+	k.Spawn(sim.L("s"), func(p *sim.Proc) {
 		arrival = c.Transfer(p, c.Nodes[0], c.Nodes[0], 12_500_000)
 	})
 	if err := k.Run(); err != nil {
@@ -65,7 +65,7 @@ func TestTransferContentionOnReceiverNIC(t *testing.T) {
 	var arr []sim.Time
 	for i := 0; i < 2; i++ {
 		i := i
-		k.Spawn("s", func(p *sim.Proc) {
+		k.Spawn(sim.L("s"), func(p *sim.Proc) {
 			arr = append(arr, c.Transfer(p, c.Nodes[i], c.Nodes[2], 1_000_000))
 		})
 	}
@@ -88,7 +88,7 @@ func TestComputeTimeNoJitter(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, 1, quiet())
 	var end sim.Time
-	k.Spawn("c", func(p *sim.Proc) {
+	k.Spawn(sim.L("c"), func(p *sim.Proc) {
 		c.Nodes[0].Compute(p, 2e9) // 2 Gflop at 1 Gflop/s
 		end = p.Now()
 	})
@@ -106,7 +106,7 @@ func TestComputeJitterBounded(t *testing.T) {
 	k := sim.NewKernel(7)
 	c := New(k, 1, cfg)
 	var end sim.Time
-	k.Spawn("c", func(p *sim.Proc) {
+	k.Spawn(sim.L("c"), func(p *sim.Proc) {
 		c.Nodes[0].Compute(p, 1e9)
 		end = p.Now()
 	})
@@ -169,7 +169,7 @@ func TestLocalDiskWriteRead(t *testing.T) {
 	c := New(k, 1, cfg)
 	st := LocalDisk{}
 	var w, r sim.Time
-	k.Spawn("io", func(p *sim.Proc) {
+	k.Spawn(sim.L("io"), func(p *sim.Proc) {
 		w = st.Write(p, c.Nodes[0], 40_000_000) // 1s at 40 MB/s
 		r = st.Read(p, c.Nodes[0], 40_000_000)  // 0.5s at 80 MB/s
 	})
@@ -199,7 +199,7 @@ func TestRemoteStoreContention(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < 8; i++ {
 		i := i
-		k.Spawn("w", func(p *sim.Proc) {
+		k.Spawn(sim.L("w"), func(p *sim.Proc) {
 			end := rs.Write(p, c.Nodes[i], 10_000_000)
 			if end > last {
 				last = end
@@ -223,7 +223,7 @@ func TestRemoteStoreRead(t *testing.T) {
 	c := New(k, 1, cfg)
 	rs := NewRemoteStore(c, 1, 50e6, 25e6)
 	var end sim.Time
-	k.Spawn("r", func(p *sim.Proc) {
+	k.Spawn(sim.L("r"), func(p *sim.Proc) {
 		end = rs.Read(p, c.Nodes[0], 25_000_000)
 	})
 	if err := k.Run(); err != nil {
@@ -256,7 +256,7 @@ func TestDelayIncludesNoise(t *testing.T) {
 	k := sim.NewKernel(11)
 	c := New(k, 1, cfg)
 	var end sim.Time
-	k.Spawn("d", func(p *sim.Proc) {
+	k.Spawn(sim.L("d"), func(p *sim.Proc) {
 		c.Nodes[0].Delay(p, 10*sim.Second)
 		end = p.Now()
 	})
@@ -279,10 +279,10 @@ func TestAsyncRemoteReleasesWriterEarly(t *testing.T) {
 		t.Errorf("Name = %q", ar.Name())
 	}
 	var syncEnd, asyncEnd sim.Time
-	k.Spawn("sync", func(p *sim.Proc) {
+	k.Spawn(sim.L("sync"), func(p *sim.Proc) {
 		syncEnd = rs.Write(p, c.Nodes[0], 10_000_000)
 	})
-	k.Spawn("async", func(p *sim.Proc) {
+	k.Spawn(sim.L("async"), func(p *sim.Proc) {
 		asyncEnd = ar.Write(p, c.Nodes[1], 10_000_000)
 	})
 	if err := k.Run(); err != nil {
@@ -303,7 +303,7 @@ func TestAsyncRemoteBackgroundDrainConsumesServer(t *testing.T) {
 	c := New(k, 1, cfg)
 	rs := NewRemoteStore(c, 1, 10e6, 10e6)
 	ar := NewAsyncRemote(rs, 0) // default absorb rate
-	k.Spawn("w", func(p *sim.Proc) {
+	k.Spawn(sim.L("w"), func(p *sim.Proc) {
 		ar.Write(p, c.Nodes[0], 10_000_000)
 	})
 	if err := k.Run(); err != nil {

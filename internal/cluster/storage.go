@@ -50,8 +50,8 @@ func (l LocalDisk) Read(p *sim.Proc, n *Node, size int64) sim.Time {
 // Server is one remote checkpoint server: a NIC it shares with all clients
 // and a disk behind it.
 type Server struct {
-	NIC  *sim.Resource
-	Disk *sim.Resource
+	NIC  sim.Resource
+	Disk sim.Resource
 }
 
 // RemoteStore stripes clients across a fixed set of checkpoint servers
@@ -70,8 +70,8 @@ func NewRemoteStore(c *Cluster, nServers int, nicRate, diskRate float64) *Remote
 	rs := &RemoteStore{C: c}
 	for i := 0; i < nServers; i++ {
 		rs.Servers = append(rs.Servers, &Server{
-			NIC:  sim.NewResource(c.K, fmt.Sprintf("ckptsrv-nic%d", i), nicRate),
-			Disk: sim.NewResource(c.K, fmt.Sprintf("ckptsrv-disk%d", i), diskRate),
+			NIC:  sim.NewResource(sim.L("ckptsrv-nic", i), nicRate),
+			Disk: sim.NewResource(sim.L("ckptsrv-disk", i), diskRate),
 		})
 	}
 	return rs

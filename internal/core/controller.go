@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -39,9 +38,11 @@ type controller struct {
 	// appends its ranks' records and cuts during a window, without
 	// locking; the kernel's round barrier flushes them in a deterministic
 	// order. pending is set by every append, so the many rounds that
-	// buffer nothing skip the flush.
+	// buffer nothing skip the flush. cutBuf is the flush's reused
+	// scratch for sorting cuts.
 	pendRecs [][]ckpt.Record
 	pendCuts [][]Cut
+	cutBuf   []Cut
 	pending  atomic.Bool
 }
 
@@ -64,10 +65,10 @@ func (c *controller) start(w *mpi.World, groups [][]int, checkpoint func(p *sim.
 		w.K.OnBarrier(c.flushPending)
 	}
 	for _, r := range w.Ranks {
-		w.K.SpawnDaemonIn(w.Part(r.ID), fmt.Sprintf("ckptd%d", r.ID), func(p *sim.Proc) {
+		w.K.SpawnDaemonIn(w.Part(r.ID), sim.L("ckptd", r.ID), func(p *sim.Proc) {
 			for {
 				m := r.CtrlRecv(p, mpi.AnySource, tagCkptReq)
-				checkpoint(p, r, m.Payload.(int), m.Src)
+				checkpoint(p, r, int(m.Val), m.Src)
 			}
 		})
 	}
@@ -84,7 +85,7 @@ func (c *controller) OnRecord(fn func(ckpt.Record)) { c.onRecord = fn }
 func (c *controller) ScheduleAt(t sim.Time) {
 	cp := c.w.Part(0) // mpirun lives with the head rank's partition
 	c.w.K.PartAt(cp, t, func() {
-		c.w.K.SpawnDaemonIn(cp, "mpirun", c.runEpoch)
+		c.w.K.SpawnDaemonIn(cp, sim.L("mpirun"), c.runEpoch)
 	})
 }
 
@@ -96,7 +97,7 @@ func (c *controller) ScheduleAt(t sim.Time) {
 func (c *controller) SchedulePeriodic(start, interval sim.Time, maxCount int) {
 	cp := c.w.Part(0)
 	c.w.K.PartAt(cp, 0, func() {
-		c.w.K.SpawnDaemonIn(cp, "mpirun", func(p *sim.Proc) {
+		c.w.K.SpawnDaemonIn(cp, sim.L("mpirun"), func(p *sim.Proc) {
 			next := start
 			for i := 0; maxCount == 0 || i < maxCount; i++ {
 				p.HoldUntil(next)
@@ -124,6 +125,7 @@ func (c *controller) runEpoch(p *sim.Proc) {
 	c.epochSeq++
 	head := c.w.Ranks[0]
 	from := p.Now()
+	c.records = slices.Grow(c.records, c.w.N) // one record per rank
 
 	// mpirun spawns one child per group to propagate the request; the
 	// timing-relevant cost is the serialized request sends from the head
@@ -131,7 +133,7 @@ func (c *controller) runEpoch(p *sim.Proc) {
 	// reply comes back per rank.
 	for _, g := range c.groups {
 		for _, m := range g {
-			head.CtrlSend(p, m, tagCkptReq, reqBytes, epoch)
+			head.CtrlSend(p, m, tagCkptReq, reqBytes, int64(epoch), nil)
 		}
 	}
 	for range c.w.N {
@@ -152,14 +154,14 @@ func (c *controller) finish(p *sim.Proc, r *mpi.Rank, snap *ckpt.Snapshot, rec c
 		c.pendRecs[pt] = append(c.pendRecs[pt], rec)
 		c.pending.Store(true)
 	} else {
-		c.addRecords(rec)
+		c.records = append(c.records, rec)
+		c.report(c.records[len(c.records)-1:])
 	}
-	r.CtrlSend(p, replyTo, tagCkptDoneBase+rec.Epoch, doneBytes, rec.Epoch)
+	r.CtrlSend(p, replyTo, tagCkptDoneBase+rec.Epoch, doneBytes, int64(rec.Epoch), nil)
 }
 
-// addRecords appends recs to the record list and hands each to onRecord.
-func (c *controller) addRecords(recs ...ckpt.Record) {
-	c.records = append(c.records, recs...)
+// report hands each of recs, the tail of the record list, to onRecord.
+func (c *controller) report(recs []ckpt.Record) {
 	if c.onRecord != nil {
 		for _, rec := range recs {
 			c.onRecord(rec)
@@ -183,13 +185,14 @@ func (c *controller) reportCut(cut Cut) {
 // quiesced): it drains the per-partition cut and record buffers into
 // onCut and the record list, sorted by completion time with (epoch, rank)
 // tie-breaks — a total order that depends only on the simulation, never on
-// worker scheduling.
+// worker scheduling. Records are appended to the list and sorted there, as
+// its tail; cuts are sorted in a buffer the flushes share.
 func (c *controller) flushPending() {
 	if !c.pending.Load() {
 		return
 	}
 	c.pending.Store(false)
-	var cuts []Cut
+	cuts := c.cutBuf[:0]
 	for pt := range c.pendCuts {
 		cuts = append(cuts, c.pendCuts[pt]...)
 		c.pendCuts[pt] = c.pendCuts[pt][:0]
@@ -200,15 +203,18 @@ func (c *controller) flushPending() {
 	for _, cut := range cuts {
 		c.onCut(cut)
 	}
-	var recs []ckpt.Record
+	c.cutBuf = cuts[:0]
+
+	from := len(c.records)
 	for pt := range c.pendRecs {
-		recs = append(recs, c.pendRecs[pt]...)
+		c.records = append(c.records, c.pendRecs[pt]...)
 		c.pendRecs[pt] = c.pendRecs[pt][:0]
 	}
+	recs := c.records[from:]
 	slices.SortFunc(recs, func(a, b ckpt.Record) int {
 		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Rank, b.Rank))
 	})
-	c.addRecords(recs...)
+	c.report(recs)
 }
 
 // Records returns all per-rank checkpoint records so far.
@@ -246,7 +252,7 @@ func ctrlBarrier(p *sim.Proc, r *mpi.Rank, members []int, tagBase int) {
 	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
 		to := members[(me+k)%n]
 		from := members[(me-k+n)%n]
-		r.CtrlSend(p, to, tagBase+round, bookmarkBytes, nil)
+		r.CtrlSend(p, to, tagBase+round, bookmarkBytes, 0, nil)
 		r.CtrlRecv(p, from, tagBase+round)
 	}
 }

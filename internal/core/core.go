@@ -18,7 +18,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
@@ -120,8 +122,10 @@ func DefaultConfig(f group.Formation, imageBytes func(int) int64) Config {
 type rankState struct {
 	members []int // checkpoint group, sorted, including self
 	logs    *mlog.Set
-	rr      map[int]int64 // RR_X: recvd-from volume recorded at last ckpt
-	needPB  map[int]bool  // peers owed a piggyback on the next send
+	// owedPB holds, for each peer owed a piggyback on the next send, the
+	// RR_X volume recorded for it at the last checkpoint. Nil until the
+	// rank's first checkpoint records an out-of-group peer.
+	owedPB map[int]int64
 }
 
 // Engine is the group-based checkpoint/restart protocol: the shared
@@ -129,7 +133,7 @@ type rankState struct {
 type Engine struct {
 	controller
 	cfg    Config
-	states []*rankState
+	states []rankState // by rank
 }
 
 // NewEngine installs the protocol on a world: it registers the send/deliver
@@ -148,16 +152,13 @@ func NewEngine(w *mpi.World, cfg Config) *Engine {
 	if cfg.Store == nil {
 		cfg.Store = cluster.LocalDisk{}
 	}
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, states: make([]rankState, w.N)}
 	e.onCut = cfg.OnCut
-	for _, r := range w.Ranks {
-		st := &rankState{
-			members: cfg.Formation.Members(r.ID),
-			logs:    mlog.NewSet(r.ID, logCopyRate, bgFlushRate),
-			rr:      map[int]int64{},
-			needPB:  map[int]bool{},
+	for i := range e.states {
+		e.states[i] = rankState{
+			members: cfg.Formation.Members(i),
+			logs:    mlog.NewSet(i, logCopyRate, bgFlushRate),
 		}
-		e.states = append(e.states, st)
 	}
 	w.Hooks = e
 	e.start(w, cfg.Formation.Groups, e.checkpoint)
@@ -184,8 +185,8 @@ func (e *Engine) LogSetNow(rank int) *mlog.Set { return e.states[rank].logs }
 // LogSets returns the per-rank sender logs (live; shared with restart).
 func (e *Engine) LogSets() []*mlog.Set {
 	out := make([]*mlog.Set, len(e.states))
-	for i, st := range e.states {
-		out[i] = st.logs
+	for i := range e.states {
+		out[i] = e.states[i].logs
 	}
 	return out
 }
@@ -198,14 +199,11 @@ func (e *Engine) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time {
 	if e.cfg.Formation.SameGroup(r.ID, m.Dst) {
 		return 0
 	}
-	st := e.states[r.ID]
+	st := &e.states[r.ID]
 	d := st.logs.Log(m.Dst, m.Bytes, r.Now())
-	if st.needPB[m.Dst] {
-		if m.PB == nil {
-			m.PB = map[int]int64{}
-		}
-		m.PB[r.ID] = st.rr[m.Dst]
-		delete(st.needPB, m.Dst)
+	if rr, owed := st.owedPB[m.Dst]; owed {
+		m.PB, m.HasPB = rr, true
+		delete(st.owedPB, m.Dst)
 	}
 	return d
 }
@@ -214,18 +212,15 @@ func (e *Engine) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time {
 // garbage-collects this rank's log toward that sender (Algorithm 1's "on
 // receiving a message from process P").
 func (e *Engine) OnDeliver(d *mpi.Rank, m *mpi.Msg) {
-	if m.PB == nil {
-		return
-	}
-	if v, ok := m.PB[m.Src]; ok {
-		e.states[d.ID].logs.GC(m.Src, v)
+	if m.HasPB {
+		e.states[d.ID].logs.GC(m.Src, m.PB)
 	}
 }
 
 // checkpoint runs one rank's side of a group checkpoint, recording the
 // four-stage breakdown of Figure 9, and hands the result to finish.
 func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
-	st := e.states[r.ID]
+	st := &e.states[r.ID]
 	start := p.Now()
 
 	// Stage 1 — Lock MPI: freeze the application (it parks at its next
@@ -256,7 +251,7 @@ func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 		tag := tagBookmarkBase + epoch
 		for _, mem := range st.members {
 			if mem != r.ID {
-				r.CtrlSend(p, mem, tag, bookmarkBytes, r.SentBytes(mem))
+				r.CtrlSend(p, mem, tag, bookmarkBytes, r.SentBytes(mem), nil)
 			}
 		}
 		for _, mem := range st.members {
@@ -268,7 +263,7 @@ func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 			// Wait only on a channel with bytes still in flight: most
 			// members of a wide group never talk to us, and a drained
 			// channel needs no counter.
-			if target := bm.Payload.(int64); r.RecvdBytes(mem) < target {
+			if target := bm.Val; r.RecvdBytes(mem) < target {
 				r.RecvdCounter(mem).AwaitAtLeast(p, target)
 			}
 		}
@@ -278,8 +273,6 @@ func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 	snap := &ckpt.Snapshot{
 		Rank: r.ID, Epoch: epoch, At: p.Now(),
 		ImageBytes: e.cfg.ImageBytes(r.ID),
-		SentTo:     map[int]int64{},
-		RecvdFrom:  map[int]int64{},
 	}
 	// Only peers this rank actually exchanged traffic with matter; the
 	// sparse scan keeps a 16384-rank epoch from costing n² channel probes.
@@ -290,11 +283,13 @@ func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 		if sent == 0 && recvd == 0 {
 			return
 		}
-		st.rr[q] = recvd
-		st.needPB[q] = true
-		snap.SentTo[q] = sent
-		snap.RecvdFrom[q] = recvd
+		if st.owedPB == nil {
+			st.owedPB = map[int]int64{}
+		}
+		st.owedPB[q] = recvd
+		snap.Cuts = append(snap.Cuts, ckpt.PeerCut{Peer: q, Sent: sent, Recvd: recvd})
 	})
+	slices.SortFunc(snap.Cuts, func(a, b ckpt.PeerCut) int { return cmp.Compare(a.Peer, b.Peer) })
 	if e.onCut != nil {
 		cut := Cut{
 			Rank: r.ID, Epoch: epoch, At: p.Now(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -212,17 +213,20 @@ func TestSnapshotsRecordOutOfGroupVolumes(t *testing.T) {
 		if s == nil {
 			t.Fatalf("rank %d has no snapshot", i)
 		}
-		for q := range s.SentTo {
-			if f.SameGroup(i, q) {
-				t.Errorf("rank %d snapshot includes intra-group peer %d", i, q)
+		for j, c := range s.Cuts {
+			if f.SameGroup(i, c.Peer) {
+				t.Errorf("rank %d snapshot includes intra-group peer %d", i, c.Peer)
+			}
+			if j > 0 && s.Cuts[j-1].Peer >= c.Peer {
+				t.Errorf("rank %d cuts not sorted by peer: %v", i, s.Cuts)
 			}
 		}
 	}
 	// Symmetry: if q is in i's snapshot, i is in q's.
 	for i, s := range snaps {
-		for q := range s.SentTo {
-			if _, ok := snaps[q].SentTo[i]; !ok {
-				t.Errorf("snapshot asymmetry: %d lists %d but not vice versa", i, q)
+		for _, c := range s.Cuts {
+			if !slices.ContainsFunc(snaps[c.Peer].Cuts, func(d ckpt.PeerCut) bool { return d.Peer == i }) {
+				t.Errorf("snapshot asymmetry: %d lists %d but not vice versa", i, c.Peer)
 			}
 		}
 	}
@@ -325,8 +329,8 @@ func TestRestartGroupReplaysOwedBytes(t *testing.T) {
 	// max(0, S_sender − R_receiver).
 	var want int64
 	for i, s := range snaps {
-		for q, sent := range s.SentTo {
-			owe := sent - snaps[q].RecvdFrom[i]
+		for _, c := range s.Cuts {
+			owe := c.Sent - snaps[c.Peer].RecvdFrom(i)
 			if owe > 0 {
 				want += owe
 			}
@@ -381,7 +385,7 @@ func TestRestartGP1MoreResendThanGP(t *testing.T) {
 
 func TestRestartMissingSnapshotFails(t *testing.T) {
 	snaps := make([]*ckpt.Snapshot, 2)
-	snaps[0] = &ckpt.Snapshot{SentTo: map[int]int64{}, RecvdFrom: map[int]int64{}}
+	snaps[0] = &ckpt.Snapshot{}
 	_, err := SimulateRestart(RestartSpec{
 		N: 2, ClusterCfg: quietCluster(), Formation: group.Global(2),
 		Snapshots: snaps,

@@ -112,13 +112,9 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 		peerSets[i] = map[int]bool{}
 	}
 	for i := 0; i < spec.N; i++ {
-		for q := range spec.Snapshots[i].SentTo {
-			peerSets[i][q] = true
-			peerSets[q][i] = true
-		}
-		for q := range spec.Snapshots[i].RecvdFrom {
-			peerSets[i][q] = true
-			peerSets[q][i] = true
+		for _, c := range spec.Snapshots[i].Cuts {
+			peerSets[i][c.Peer] = true
+			peerSets[c.Peer][i] = true
 		}
 	}
 
@@ -127,7 +123,7 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 		i := i
 		r := w.Ranks[i]
 		snap := spec.Snapshots[i]
-		k.Spawn(fmt.Sprintf("restart%d", i), func(p *sim.Proc) {
+		k.Spawn(sim.L("restart", i), func(p *sim.Proc) {
 			rec := RestartRecord{Rank: i, Start: p.Now(), ImageBytes: snap.ImageBytes}
 
 			// 1. Load the image and rebuild the process space.
@@ -141,8 +137,8 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 			}
 			sort.Ints(peers)
 			for _, q := range peers {
-				r.CtrlSend(p, q, tagRxSx, rxSxBytes,
-					[2]int64{snap.SentTo[q], snap.RecvdFrom[q]})
+				r.CtrlSend(p, q, tagRxSx, rxSxBytes, 0,
+					[2]int64{snap.SentTo(q), snap.RecvdFrom(q)})
 			}
 			theirSent := map[int]int64{}
 			theirRecvd := map[int]int64{}
@@ -156,23 +152,23 @@ func SimulateRestart(spec RestartSpec) (RestartOutcome, error) {
 			// 3. Replay owed volumes; skip what the peer already has.
 			ld := cluster.LocalDisk{}
 			for _, q := range peers {
-				owe := snap.SentTo[q] - theirRecvd[q]
+				owe := snap.SentTo(q) - theirRecvd[q]
 				if owe <= 0 {
 					rec.SkipBytes += -owe
 					continue
 				}
-				plan := spec.Logs[i].Replay(q, theirRecvd[q], snap.SentTo[q])
+				plan := spec.Logs[i].Replay(q, theirRecvd[q], snap.SentTo(q))
 				// Read the logged bytes back from local disk,
 				// then resend over the network as one session.
 				ld.Read(p, r.Node, plan.Bytes)
-				r.CtrlSend(p, q, tagReplay, plan.Bytes, plan)
+				r.CtrlSend(p, q, tagReplay, plan.Bytes, 0, plan)
 				rec.ResendBytes += plan.Bytes
 				rec.ResendOps++
 				rec.ResendMsgs += plan.Msgs
 			}
 			// Wait for everything peers owe us.
 			for _, q := range peers {
-				want := theirSent[q] - snap.RecvdFrom[q]
+				want := theirSent[q] - snap.RecvdFrom(q)
 				var got int64
 				for got < want {
 					m := r.CtrlRecv(p, q, tagReplay)

@@ -85,7 +85,7 @@ func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 	tag := tagMarkerBase + epoch
 	for q := 0; q < n; q++ {
 		if q != r.ID {
-			r.CtrlSend(p, q, tag, markerBytes, nil)
+			r.CtrlSend(p, q, tag, markerBytes, 0, nil)
 		}
 	}
 	tCut := p.Now()
@@ -114,8 +114,6 @@ func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 	snap := &ckpt.Snapshot{
 		Rank: r.ID, Epoch: epoch, At: tCut,
 		ImageBytes: img,
-		SentTo:     map[int]int64{},
-		RecvdFrom:  map[int]int64{},
 	}
 	v.finish(p, r, snap, ckpt.Record{
 		Rank: r.ID, Epoch: epoch, Start: start, End: end,

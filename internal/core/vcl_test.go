@@ -153,7 +153,7 @@ func TestGroupFormationEquivalenceNORMIsOneGroup(t *testing.T) {
 		t.Errorf("NORM logged %d bytes", b)
 	}
 	for _, s := range e.Snapshots() {
-		if len(s.SentTo) != 0 {
+		if len(s.Cuts) != 0 {
 			t.Errorf("rank %d has out-of-group peers under NORM", s.Rank)
 		}
 	}

@@ -150,7 +150,7 @@ func (inj *Injector) evaluate(node int) Outcome {
 		for _, fr := range out.FailedRanks {
 			var have int64
 			if s := inj.src.SnapshotNow(fr); s != nil {
-				have = s.RecvdFrom[peer]
+				have = s.RecvdFrom(peer)
 			}
 			sent := inj.w.Ranks[peer].SentBytes(fr)
 			if sent > have {

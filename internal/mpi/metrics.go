@@ -19,7 +19,9 @@ type Metrics struct {
 	// Consumed counts messages consumed by Recv (mpi_consumed_total).
 	Consumed *metrics.Counter
 	// MsgLatency samples per-message network latency in simulated seconds,
-	// send to transport arrival (mpi_msg_latency_seconds).
+	// send to transport arrival (mpi_msg_latency_seconds). A partitioned
+	// world buffers the samples per partition and observes them at the
+	// round barrier, so the histogram is the same at every worker count.
 	MsgLatency *metrics.Histogram
 }
 

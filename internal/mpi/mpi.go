@@ -9,8 +9,8 @@
 //     the moral equivalent of LAM/MPI's CRTCP SSI module;
 //   - Gate / SendGate: per-rank freeze points ("Lock MPI"; send-only
 //     freeze for Chandy–Lamport protocols);
-//   - per-pair transport byte counters, used to drain in-transit messages
-//     during coordinated checkpoints;
+//   - one record per communicating peer, holding the transport byte
+//     counter that coordinated checkpoints drain in-transit messages by;
 //   - a control plane (CtrlSend/CtrlRecv) for protocol daemons that
 //     bypasses hooks, gates, and application counters but still pays
 //     network costs.
@@ -23,7 +23,6 @@
 package mpi
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -42,7 +41,8 @@ const (
 )
 
 // Msg is a message envelope. Payload is optional structured data (used by
-// control messages and tests); Bytes is what the network model charges.
+// tests and the restart protocol), Val a control message's one integer (an
+// epoch, a bookmark's byte count); Bytes is what the network model charges.
 //
 // Application envelopes are pooled: an envelope obtained from Recv is owned
 // by the caller until it is returned to the pool with World.Free (or until
@@ -51,9 +51,11 @@ type Msg struct {
 	Src, Dst, Tag int
 	Bytes         int64
 	Payload       any
-	PB            map[int]int64 // piggybacked values (peer → RR volume)
+	Val           int64
+	PB            int64 // piggybacked RR volume of the sender, if HasPB
 	SendTime      sim.Time
 	ArriveTime    sim.Time
+	HasPB         bool
 	Ctrl          bool
 
 	// pooled marks an envelope currently sitting in the free list, so a
@@ -136,7 +138,11 @@ type World struct {
 type shard struct {
 	stats Stats
 	free  []*Msg
-	_     [64]byte
+	// lat buffers the window's mpi_msg_latency_seconds samples on a
+	// partitioned world with metrics attached; the round barrier observes
+	// them in partition order (see observeLatencies).
+	lat []float64
+	_   [64]byte
 }
 
 // Stats is the world's message-path accounting, maintained unconditionally
@@ -202,6 +208,7 @@ func (w *World) SetPartitions(partOf []int, nparts int) {
 	w.shards = make([]shard, nparts)
 	w.finCount = make([]int, nparts)
 	w.K.OnBarrier(func() {
+		w.observeLatencies()
 		if !w.finNew.Load() {
 			return
 		}
@@ -212,6 +219,24 @@ func (w *World) SetPartitions(partOf []int, nparts int) {
 		}
 		w.finDone = n
 	})
+}
+
+// observeLatencies feeds the latency samples the partitions buffered during
+// the round to the histogram, in partition order and, within a partition,
+// in delivery order: a sum and a reservoir that do not depend on how pool
+// members interleaved. It runs at the round barrier.
+func (w *World) observeLatencies() {
+	mm := w.metrics
+	if mm == nil {
+		return
+	}
+	for i := range w.shards {
+		sh := &w.shards[i]
+		for _, v := range sh.lat {
+			mm.MsgLatency.Observe(v)
+		}
+		sh.lat = sh.lat[:0]
+	}
 }
 
 // AllFinishedView reports whether every rank's application body has
@@ -255,8 +280,9 @@ type PairFlow struct {
 // sorted by (Src, Dst). Cost is O(communicating pairs), not O(n²) — usable
 // at 16384 ranks.
 func (w *World) PairFlows() []PairFlow {
-	// A flow exists if any of the three counters is non-zero, so enumerate
-	// from both the sender-side and receiver-side sparse maps.
+	// A flow exists once either end holds a record of it: the sender's
+	// from its first send, the receiver's from its first delivery or
+	// drain. Enumerate from both ends.
 	var flows []PairFlow
 	seen := map[[2]int]bool{}
 	add := func(src, dst int) {
@@ -274,14 +300,13 @@ func (w *World) PairFlows() []PairFlow {
 		})
 	}
 	for _, r := range w.Ranks {
-		for dst := range r.sent {
-			add(r.ID, dst)
-		}
-		for src := range r.recvd {
-			add(src, r.ID)
-		}
-		for src := range r.appRecvd {
-			add(src, r.ID)
+		for q, ch := range r.chans {
+			if ch.sends {
+				add(r.ID, q)
+			}
+			if ch.rxUsed || ch.consumes {
+				add(q, r.ID)
+			}
 		}
 	}
 	sort.Slice(flows, func(i, j int) bool {
@@ -309,17 +334,17 @@ func NewWorld(k *sim.Kernel, c *cluster.Cluster, n int) *World {
 		arr := w.C.RecvSide(d.Node, w.K.PartNow(dp), m.Bytes)
 		w.K.PartAt1(dp, arr, w.arrive, m)
 	}
-	for i := 0; i < n; i++ {
-		r := &Rank{
+	w.Ranks = make([]*Rank, n)
+	for i := range w.Ranks {
+		w.Ranks[i] = &Rank{
 			W:        w,
 			ID:       i,
 			Node:     c.Nodes[i],
-			mbox:     sim.NewMailbox(k, fmt.Sprintf("rank%d", i)),
-			ctrl:     sim.NewMailbox(k, fmt.Sprintf("ctrl%d", i)),
-			Gate:     sim.NewGate(k, fmt.Sprintf("gate%d", i)),
-			SendGate: sim.NewGate(k, fmt.Sprintf("sendgate%d", i)),
+			mbox:     sim.NewMailbox(sim.L("rank", i)),
+			ctrl:     sim.NewMailbox(sim.L("ctrl", i)),
+			Gate:     sim.NewGate(sim.L("gate", i)),
+			SendGate: sim.NewGate(sim.L("sendgate", i)),
 		}
-		w.Ranks = append(w.Ranks, r)
 	}
 	return w
 }
@@ -366,7 +391,7 @@ func (w *World) Launch(body func(r *Rank)) {
 	for _, r := range w.Ranks {
 		r := r
 		part := w.Part(r.ID)
-		r.Proc = w.K.SpawnIn(part, fmt.Sprintf("rank%d", r.ID), func(p *sim.Proc) {
+		r.Proc = w.K.SpawnIn(part, sim.L("rank", r.ID), func(p *sim.Proc) {
 			body(r)
 			r.FinishTime = p.Now()
 			r.Finished = true
@@ -378,12 +403,15 @@ func (w *World) Launch(body func(r *Rank)) {
 	}
 }
 
-// Rank is one MPI process.
+// Rank is one MPI process. Its mailboxes and gates are embedded, so a rank
+// is one allocation until it talks to a peer.
 //
 // Per-peer transport state is sparse: a world of n ranks has n² potential
 // channels, but real workloads touch only a few peers per rank, and eager
 // per-peer arrays are what used to cap worlds at a few thousand ranks
 // (16384 ranks would mean 800M array slots before the first event fires).
+// A rank keeps one channel record per peer it has sent to, received from or
+// drained, allocated on first use.
 type Rank struct {
 	W    *World
 	ID   int
@@ -393,54 +421,71 @@ type Rank struct {
 	// Gate is the full freeze point: while closed, the rank can neither
 	// send nor complete receives nor compute. SendGate freezes sends only
 	// (Chandy–Lamport-style protocols).
-	Gate     *sim.Gate
-	SendGate *sim.Gate
+	Gate     sim.Gate
+	SendGate sim.Gate
 
-	mbox     *sim.Mailbox
-	ctrl     *sim.Mailbox
-	sent     map[int]int64        // transport bytes sent to each peer (app traffic)
-	recvd    map[int]*sim.Counter // transport bytes received from each peer
-	appRecvd map[int]int64        // bytes the application has consumed per peer
+	mbox  sim.Mailbox
+	ctrl  sim.Mailbox
+	chans map[int]*channel // per-peer records, by peer rank
 
 	FinishTime sim.Time
 	Finished   bool
 }
 
+// channel is a rank's record of application traffic with one peer, in both
+// directions. The flags say which sides of the record are in use: what
+// PairFlows and ForEachPeer enumerate depends on them, not on the counts,
+// since a zero-byte message still opens a channel.
+type channel struct {
+	rx       sim.Counter // transport bytes received from the peer
+	sent     int64       // transport bytes sent to the peer
+	appRecvd int64       // bytes the application consumed from the peer
+
+	sends, consumes, rxUsed bool
+}
+
+// peer returns the record for peer q, creating it on first use.
+func (r *Rank) peer(q int) *channel {
+	ch := r.chans[q]
+	if ch == nil {
+		ch = &channel{rx: sim.NewCounter(sim.L("rx", r.ID, q))}
+		if r.chans == nil {
+			r.chans = make(map[int]*channel, 8)
+		}
+		r.chans[q] = ch
+	}
+	return ch
+}
+
 // SentBytes returns the application bytes this rank has pushed into the
 // network toward dst (including in-flight bytes).
-func (r *Rank) SentBytes(dst int) int64 { return r.sent[dst] }
-
-// addSent accumulates transport bytes toward dst, allocating the sparse map
-// on first use.
-func (r *Rank) addSent(dst int, b int64) {
-	if r.sent == nil {
-		r.sent = make(map[int]int64, 8)
+func (r *Rank) SentBytes(dst int) int64 {
+	if ch := r.chans[dst]; ch != nil {
+		return ch.sent
 	}
-	r.sent[dst] += b
+	return 0
+}
+
+// addSent accumulates transport bytes toward dst.
+func (r *Rank) addSent(dst int, b int64) {
+	ch := r.peer(dst)
+	ch.sent += b
+	ch.sends = true
 }
 
 // RecvdCounter returns the transport-level received-bytes counter for
 // messages from src. Protocols drain channels by awaiting it.
-//
-// Counters are allocated on first use (see Rank's doc comment on sparse
-// per-peer state).
 func (r *Rank) RecvdCounter(src int) *sim.Counter {
-	c := r.recvd[src]
-	if c == nil {
-		c = sim.NewCounter(r.W.K, fmt.Sprintf("rx%d<-%d", r.ID, src))
-		if r.recvd == nil {
-			r.recvd = make(map[int]*sim.Counter, 8)
-		}
-		r.recvd[src] = c
-	}
-	return c
+	ch := r.peer(src)
+	ch.rxUsed = true
+	return &ch.rx
 }
 
 // RecvdBytes returns the transport-level bytes received from src (delivered
 // to this node, whether or not the application has consumed them).
 func (r *Rank) RecvdBytes(src int) int64 {
-	if c := r.recvd[src]; c != nil {
-		return c.Value()
+	if ch := r.chans[src]; ch != nil {
+		return ch.rx.Value()
 	}
 	return 0
 }
@@ -449,27 +494,28 @@ func (r *Rank) RecvdBytes(src int) int64 {
 // (completed Recv calls) from src. This is Algorithm 1's R_X: a frozen rank
 // stops consuming, so in-flight and buffered messages at a checkpoint are
 // not covered by the checkpoint and must be replayed on restart.
-func (r *Rank) AppRecvdBytes(src int) int64 { return r.appRecvd[src] }
+func (r *Rank) AppRecvdBytes(src int) int64 {
+	if ch := r.chans[src]; ch != nil {
+		return ch.appRecvd
+	}
+	return 0
+}
 
 // addAppRecvd accumulates application-consumed bytes from src.
 func (r *Rank) addAppRecvd(src int, b int64) {
-	if r.appRecvd == nil {
-		r.appRecvd = make(map[int]int64, 8)
-	}
-	r.appRecvd[src] += b
+	ch := r.peer(src)
+	ch.appRecvd += b
+	ch.consumes = true
 }
 
-// ForEachPeer calls f for every peer this rank has exchanged application
-// traffic with (sent or consumed bytes non-zero), in unspecified order.
+// ForEachPeer calls f for every peer this rank has sent application traffic
+// to or consumed application traffic from, in unspecified order.
 // Checkpoint protocols use it to record per-peer cuts without scanning all
 // n potential channels.
 func (r *Rank) ForEachPeer(f func(peer int, sent, appRecvd int64)) {
-	for q, s := range r.sent {
-		f(q, s, r.appRecvd[q])
-	}
-	for q, v := range r.appRecvd {
-		if _, dup := r.sent[q]; !dup {
-			f(q, 0, v)
+	for q, ch := range r.chans {
+		if ch.sends || ch.consumes {
+			f(q, ch.sent, ch.appRecvd)
 		}
 	}
 }

@@ -203,16 +203,16 @@ func TestCtrlPlaneBypassesGateAndCounters(t *testing.T) {
 	var got *Msg
 	done := make(chan struct{})
 	_ = done
-	k.Spawn("daemon0", func(p *sim.Proc) {
-		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase+1, 64, "bookmark")
+	k.Spawn(sim.L("daemon0"), func(p *sim.Proc) {
+		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase+1, 64, 4096, "bookmark")
 	})
-	k.Spawn("daemon1", func(p *sim.Proc) {
+	k.Spawn(sim.L("daemon1"), func(p *sim.Proc) {
 		got = w.Ranks[1].CtrlRecv(p, 0, TagCtrlBase+1)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Payload != "bookmark" {
+	if got == nil || got.Payload != "bookmark" || got.Val != 4096 {
 		t.Fatalf("ctrl message not received: %+v", got)
 	}
 	if w.Ranks[1].RecvdBytes(0) != 0 {
@@ -259,10 +259,10 @@ func TestHooksNotInvokedForCtrl(t *testing.T) {
 	k, w := testWorld(t, 1, 2)
 	h := &countingHooks{}
 	w.Hooks = h
-	k.Spawn("d", func(p *sim.Proc) {
-		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase, 8, nil)
+	k.Spawn(sim.L("d"), func(p *sim.Proc) {
+		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase, 8, 0, nil)
 	})
-	k.Spawn("d1", func(p *sim.Proc) {
+	k.Spawn(sim.L("d1"), func(p *sim.Proc) {
 		w.Ranks[1].CtrlRecv(p, 0, TagCtrlBase)
 	})
 	if err := k.Run(); err != nil {

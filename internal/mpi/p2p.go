@@ -69,7 +69,13 @@ func (w *World) deliverArrived(m *Msg) {
 		}
 		if mm := w.metrics; mm != nil {
 			mm.Delivered.Inc()
-			mm.MsgLatency.Observe((m.ArriveTime - m.SendTime).Seconds())
+			lat := (m.ArriveTime - m.SendTime).Seconds()
+			if w.nparts > 1 {
+				sh := &w.shards[dp]
+				sh.lat = append(sh.lat, lat)
+			} else {
+				mm.MsgLatency.Observe(lat)
+			}
 		}
 	}
 	d.mailboxFor(m).PutKeyed(m, m.Src, m.Tag)
@@ -77,9 +83,9 @@ func (w *World) deliverArrived(m *Msg) {
 
 func (d *Rank) mailboxFor(m *Msg) *sim.Mailbox {
 	if m.Ctrl {
-		return d.ctrl
+		return &d.ctrl
 	}
-	return d.mbox
+	return &d.mbox
 }
 
 // Recv blocks until an application message from src (or AnySource) with the
@@ -132,14 +138,16 @@ func (r *Rank) Compute(flops float64) {
 	}
 }
 
-// CtrlSend transmits a protocol control message from this rank's node. It
-// bypasses freeze gates, hooks, tracing, and application counters, but pays
-// full network costs. p is the calling daemon's process. Control envelopes
-// are not pooled: daemons may hold them across further control traffic.
-func (r *Rank) CtrlSend(p *sim.Proc, dst, tag int, bytes int64, payload any) {
+// CtrlSend transmits a protocol control message from this rank's node,
+// carrying the integer val in Msg.Val and payload, if any, in Msg.Payload.
+// It bypasses freeze gates, hooks, tracing, and application counters, but
+// pays full network costs. p is the calling daemon's process. Control
+// envelopes are not pooled: daemons may hold them across further control
+// traffic, and a free list would keep the peak of in-flight envelopes.
+func (r *Rank) CtrlSend(p *sim.Proc, dst, tag int, bytes, val int64, payload any) {
 	m := &Msg{
 		Src: r.ID, Dst: dst, Tag: tag,
-		Bytes: bytes, Payload: payload,
+		Bytes: bytes, Val: val, Payload: payload,
 		SendTime: r.Now(), Ctrl: true,
 	}
 	r.deliver(p, m)

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestEnvelopePoolRecycles: after a Sendrecv consumes its reply, the next
@@ -11,6 +14,7 @@ import (
 // reused envelope must carry only the new message's data.
 func TestEnvelopePoolRecycles(t *testing.T) {
 	k, w := testWorld(t, 1, 2)
+	w.Hooks = piggybackRound1{}
 	var got *Msg
 	w.Launch(func(r *Rank) {
 		other := 1 - r.ID
@@ -32,10 +36,23 @@ func TestEnvelopePoolRecycles(t *testing.T) {
 	if got == nil || got.Bytes != 77 || got.Payload != "fresh" || got.Tag != 2 {
 		t.Fatalf("reused envelope carries stale data: %+v", got)
 	}
-	if got.PB != nil {
-		t.Errorf("reused envelope kept a piggyback map: %+v", got.PB)
+	if got.HasPB || got.PB != 0 {
+		t.Errorf("reused envelope kept a piggyback: %d (flag %v)", got.PB, got.HasPB)
 	}
 }
+
+// piggybackRound1 piggybacks a volume on every round-1 message of
+// TestEnvelopePoolRecycles, so a recycled envelope has one to lose.
+type piggybackRound1 struct{}
+
+func (piggybackRound1) BeforeSend(r *Rank, m *Msg) sim.Time {
+	if m.Tag == 1 {
+		m.PB, m.HasPB = 42, true
+	}
+	return 0
+}
+
+func (piggybackRound1) OnDeliver(*Rank, *Msg) {}
 
 // TestFreeReturnsEnvelopeToPool: World.Free clears the envelope and makes
 // it available to the next Send.
@@ -62,8 +79,10 @@ func TestFreeReturnsEnvelopeToPool(t *testing.T) {
 	}
 }
 
-// TestSparsePeerStateOnlyTouchedChannels: per-peer maps must track exactly
-// the peers traffic touched, and ForEachPeer must enumerate them.
+// TestSparsePeerStateOnlyTouchedChannels: per-peer records must track
+// exactly the peers traffic touched, ForEachPeer must enumerate the peers a
+// rank sent to or consumed from, and PairFlows every channel either end has
+// a record of, a drained but silent one included.
 func TestSparsePeerStateOnlyTouchedChannels(t *testing.T) {
 	const n = 8
 	k, w := testWorld(t, 1, n)
@@ -94,8 +113,19 @@ func TestSparsePeerStateOnlyTouchedChannels(t *testing.T) {
 		t.Errorf("peer 0 = %v, want {0, 500}", peers[0])
 	}
 	// Untouched ranks carry no per-peer state at all.
-	if w.Ranks[5].sent != nil || w.Ranks[5].appRecvd != nil || w.Ranks[5].recvd != nil {
-		t.Error("untouched rank allocated per-peer maps")
+	if w.Ranks[5].chans != nil {
+		t.Error("untouched rank allocated per-peer records")
+	}
+	if len(w.Ranks[0].chans) != 1 || len(w.Ranks[3].chans) != 1 {
+		t.Errorf("records: rank 0 has %d, rank 3 has %d, want 1 each", len(w.Ranks[0].chans), len(w.Ranks[3].chans))
+	}
+	// A drain on a silent channel opens a record that is a flow but not a
+	// peer.
+	w.Ranks[6].RecvdCounter(7)
+	w.Ranks[6].ForEachPeer(func(q int, _, _ int64) { t.Errorf("rank 6 visits peer %d", q) })
+	want := []PairFlow{{Src: 0, Dst: 3, Sent: 500, Recvd: 500, Consumed: 500}, {Src: 7, Dst: 6}}
+	if got := w.PairFlows(); !slices.Equal(got, want) {
+		t.Errorf("PairFlows = %+v, want %+v", got, want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func TestInterruptReturnsErrCanceled(t *testing.T) {
 	k := NewKernel(1)
 	var iters int
-	k.Spawn("spinner", func(p *Proc) {
+	k.Spawn(L("spinner"), func(p *Proc) {
 		for i := 0; i < 1_000_000_000; i++ {
 			iters++
 			p.Hold(Millisecond)
@@ -38,7 +38,7 @@ func TestInterruptReturnsErrCanceled(t *testing.T) {
 func TestInterruptBeforeRun(t *testing.T) {
 	k := NewKernel(1)
 	ran := false
-	k.Spawn("p", func(p *Proc) { ran = true })
+	k.Spawn(L("p"), func(p *Proc) { ran = true })
 	k.Interrupt()
 	if err := k.Run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Run returned %v, want ErrCanceled", err)
@@ -72,14 +72,14 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		k := NewKernel(int64(i))
-		mb := NewMailbox(k, "mb")
-		k.SpawnDaemonIn(0, "daemon", func(p *Proc) {
+		mb := NewMailbox(L("mb"))
+		k.SpawnDaemonIn(0, L("daemon"), func(p *Proc) {
 			for {
 				mb.RecvKeyed(p, AnyKey, 0) // parked forever: nothing sends
 			}
 		})
 		for j := 0; j < 8; j++ {
-			k.Spawn("worker", func(p *Proc) { p.Hold(Second) })
+			k.Spawn(L("worker"), func(p *Proc) { p.Hold(Second) })
 		}
 		go func() { k.Interrupt() }()
 		if err := k.Run(); err != nil && !errors.Is(err, ErrCanceled) {
@@ -97,11 +97,11 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 func TestShutdownAfterNormalRunReapsDaemons(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	k.SpawnDaemonIn(0, "daemon", func(p *Proc) {
+	mb := NewMailbox(L("mb"))
+	k.SpawnDaemonIn(0, L("daemon"), func(p *Proc) {
 		mb.RecvKeyed(p, AnyKey, 0)
 	})
-	k.Spawn("app", func(p *Proc) { p.Hold(Millisecond) })
+	k.Spawn(L("app"), func(p *Proc) { p.Hold(Millisecond) })
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestShutdownReapsUnstartedProcs(t *testing.T) {
 	k := NewKernel(1)
 	ran := 0
 	for i := 0; i < 16; i++ {
-		k.Spawn("p", func(p *Proc) { ran++ })
+		k.Spawn(L("p"), func(p *Proc) { ran++ })
 	}
 	k.Interrupt()
 	if err := k.Run(); !errors.Is(err, ErrCanceled) {
@@ -153,9 +153,9 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 			for i := range boom {
 				i := i
 				boom[i] = fmt.Errorf("boom in partition %d", i)
-				mb := NewMailbox(k, "idle")
-				k.SpawnDaemonIn(i, "daemon", func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
-				k.SpawnIn(i, "worker", func(p *Proc) {
+				mb := NewMailbox(L("idle"))
+				k.SpawnDaemonIn(i, L("daemon"), func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
+				k.SpawnIn(i, L("worker"), func(p *Proc) {
 					p.Hold(10 * Microsecond) // every partition wakes in one round
 					if i%2 == 1 {
 						panic(boom[i])
@@ -183,7 +183,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // TestShutdownIdempotent double-Shutdown must not hang or panic.
 func TestShutdownIdempotent(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("p", func(p *Proc) { p.Hold(Millisecond) })
+	k.Spawn(L("p"), func(p *Proc) { p.Hold(Millisecond) })
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

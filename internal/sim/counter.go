@@ -5,11 +5,9 @@ package sim
 // pair of transport bytes: draining a channel is "await received ≥ the
 // sender's bookmarked sent count".
 type Counter struct {
-	k         *Kernel
-	name      string
-	waitState string // "counter <name>", precomputed for block()
-	v         int64
-	waiters   []*counterWaiter
+	label   Label
+	v       int64
+	waiters []*counterWaiter
 }
 
 // counterWaiter is a parked awaiter, embedded in Proc (a process awaits at
@@ -19,10 +17,10 @@ type counterWaiter struct {
 	target int64
 }
 
-// NewCounter returns a counter starting at zero.
-func NewCounter(k *Kernel, name string) *Counter {
-	return &Counter{k: k, name: name, waitState: "counter " + name}
-}
+// NewCounter returns a counter starting at zero, labelled l in deadlock
+// reports. Like every primitive it is returned by value, for its owner to
+// embed; use it through a pointer to that one copy.
+func NewCounter(l Label) Counter { return Counter{label: l} }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
@@ -54,6 +52,6 @@ func (c *Counter) AwaitAtLeast(p *Proc, target int64) {
 	for c.v < target {
 		p.cw = counterWaiter{p: p, target: target}
 		c.waiters = append(c.waiters, &p.cw)
-		p.block(c.waitState)
+		p.block("counter", &c.label)
 	}
 }

@@ -5,17 +5,14 @@ package sim
 // the per-rank daemon closes the gate and the application thread parks at its
 // next send, receive-completion, or compute-slice boundary.
 type Gate struct {
-	k         *Kernel
-	name      string
-	passState string // "gate <name>", precomputed for block()
-	closed    bool
-	waiters   []*Proc
+	label   Label
+	closed  bool
+	waiters []*Proc
 }
 
-// NewGate returns an open gate. name is used in deadlock reports.
-func NewGate(k *Kernel, name string) *Gate {
-	return &Gate{k: k, name: name, passState: "gate " + name}
-}
+// NewGate returns an open gate, labelled l in deadlock reports, by value
+// (see NewCounter).
+func NewGate(l Label) Gate { return Gate{label: l} }
 
 // Close closes the gate. Processes reaching Pass afterwards park.
 func (g *Gate) Close() { g.closed = true }
@@ -35,6 +32,6 @@ func (g *Gate) Open() {
 func (g *Gate) Pass(p *Proc) {
 	for g.closed {
 		g.waiters = append(g.waiters, p)
-		p.block(g.passState)
+		p.block("gate", &g.label)
 	}
 }

@@ -4,9 +4,9 @@ import "testing"
 
 func TestGateOpenPassesImmediately(t *testing.T) {
 	k := NewKernel(1)
-	g := NewGate(k, "g")
+	g := NewGate(L("g"))
 	var at Time = -1
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		g.Pass(p)
 		at = p.Now()
 	})
@@ -20,14 +20,14 @@ func TestGateOpenPassesImmediately(t *testing.T) {
 
 func TestGateClosedParksUntilOpen(t *testing.T) {
 	k := NewKernel(1)
-	g := NewGate(k, "g")
+	g := NewGate(L("g"))
 	g.Close()
 	var at Time = -1
-	k.Spawn("app", func(p *Proc) {
+	k.Spawn(L("app"), func(p *Proc) {
 		g.Pass(p)
 		at = p.Now()
 	})
-	k.Spawn("daemon", func(p *Proc) {
+	k.Spawn(L("daemon"), func(p *Proc) {
 		p.Hold(Seconds(4))
 		g.Open()
 	})
@@ -41,12 +41,12 @@ func TestGateClosedParksUntilOpen(t *testing.T) {
 
 func TestGateWaitingCount(t *testing.T) {
 	k := NewKernel(1)
-	g := NewGate(k, "g")
+	g := NewGate(L("g"))
 	g.Close()
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", func(p *Proc) { g.Pass(p) })
+		k.Spawn(L("w"), func(p *Proc) { g.Pass(p) })
 	}
-	k.Spawn("check", func(p *Proc) {
+	k.Spawn(L("check"), func(p *Proc) {
 		p.Hold(Second)
 		if len(g.waiters) != 3 {
 			t.Errorf("Waiting = %d, want 3", len(g.waiters))
@@ -68,14 +68,14 @@ func TestGateRecloseHoldsPassers(t *testing.T) {
 	// A gate closed again at the same instant it opens must keep holding
 	// processes (Pass re-checks in a loop).
 	k := NewKernel(1)
-	g := NewGate(k, "g")
+	g := NewGate(L("g"))
 	g.Close()
 	released := false
-	k.Spawn("app", func(p *Proc) {
+	k.Spawn(L("app"), func(p *Proc) {
 		g.Pass(p)
 		released = true
 	})
-	k.Spawn("daemon", func(p *Proc) {
+	k.Spawn(L("daemon"), func(p *Proc) {
 		p.Hold(Second)
 		g.Open()
 		g.Close() // immediately reclose before the app's wakeup event runs
@@ -92,13 +92,13 @@ func TestGateRecloseHoldsPassers(t *testing.T) {
 
 func TestCounterAwait(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCounter(k, "c")
+	c := NewCounter(L("c"))
 	var at Time = -1
-	k.Spawn("waiter", func(p *Proc) {
+	k.Spawn(L("waiter"), func(p *Proc) {
 		c.AwaitAtLeast(p, 100)
 		at = p.Now()
 	})
-	k.Spawn("adder", func(p *Proc) {
+	k.Spawn(L("adder"), func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			p.Hold(Second)
 			c.Add(30)
@@ -117,10 +117,10 @@ func TestCounterAwait(t *testing.T) {
 
 func TestCounterAlreadySatisfied(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCounter(k, "c")
+	c := NewCounter(L("c"))
 	c.Add(50)
 	var at Time = -1
-	k.Spawn("w", func(p *Proc) {
+	k.Spawn(L("w"), func(p *Proc) {
 		p.Hold(Second)
 		c.AwaitAtLeast(p, 50)
 		at = p.Now()
@@ -139,16 +139,17 @@ func TestCounterNegativeAddPanics(t *testing.T) {
 			t.Error("negative Add did not panic")
 		}
 	}()
-	NewCounter(NewKernel(1), "c").Add(-1)
+	c := NewCounter(L("c"))
+	c.Add(-1)
 }
 
 func TestCounterMultipleWaitersDifferentTargets(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCounter(k, "c")
+	c := NewCounter(L("c"))
 	var r10, r20 Time
-	k.Spawn("w10", func(p *Proc) { c.AwaitAtLeast(p, 10); r10 = p.Now() })
-	k.Spawn("w20", func(p *Proc) { c.AwaitAtLeast(p, 20); r20 = p.Now() })
-	k.Spawn("add", func(p *Proc) {
+	k.Spawn(L("w10"), func(p *Proc) { c.AwaitAtLeast(p, 10); r10 = p.Now() })
+	k.Spawn(L("w20"), func(p *Proc) { c.AwaitAtLeast(p, 20); r20 = p.Now() })
+	k.Spawn(L("add"), func(p *Proc) {
 		p.Hold(Second)
 		c.Add(10)
 		p.Hold(Second)

@@ -34,7 +34,7 @@ func TestAt1RunsPreBoundCallback(t *testing.T) {
 func TestSelfWakeupStaysOnGoroutine(t *testing.T) {
 	k := NewKernel(1)
 	const holds = 1000
-	k.Spawn("solo", func(p *Proc) {
+	k.Spawn(L("solo"), func(p *Proc) {
 		for i := 0; i < holds; i++ {
 			p.Hold(Millisecond)
 		}
@@ -61,7 +61,7 @@ func TestBatonChainsThroughFinishingProcs(t *testing.T) {
 	var cbs int
 	for i := 0; i < n; i++ {
 		i := i
-		k.Spawn("p", func(p *Proc) {
+		k.Spawn(L("p"), func(p *Proc) {
 			p.Hold(Time(i) * Microsecond)
 			finished++
 		})
@@ -80,9 +80,9 @@ func TestBatonChainsThroughFinishingProcs(t *testing.T) {
 // waiters woken by keyed puts.
 func TestKeyedRecvMatchesSourceAndTag(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	var got []int
-	k.Spawn("recv", func(p *Proc) {
+	k.Spawn(L("recv"), func(p *Proc) {
 		// Exact source: must skip the queued (src=1) message.
 		got = append(got, mb.RecvKeyed(p, 2, 7).(int))
 		// Wildcard source: takes the oldest queued tag-7 message.
@@ -113,16 +113,16 @@ func TestKeyedRecvMatchesSourceAndTag(t *testing.T) {
 func TestDeterministicEventCountAcrossRuns(t *testing.T) {
 	run := func() uint64 {
 		k := NewKernel(5)
-		mb := NewMailbox(k, "mb")
+		mb := NewMailbox(L("mb"))
 		for i := 0; i < 8; i++ {
-			k.Spawn("w", func(p *Proc) {
+			k.Spawn(L("w"), func(p *Proc) {
 				for j := 0; j < 50; j++ {
 					p.Hold(Time(k.Rand().Int63n(int64(Millisecond))))
 					mb.PutKeyed(j, 0, 0)
 				}
 			})
 		}
-		k.Spawn("drain", func(p *Proc) {
+		k.Spawn(L("drain"), func(p *Proc) {
 			for i := 0; i < 400; i++ {
 				mb.RecvKeyed(p, AnyKey, 0)
 			}

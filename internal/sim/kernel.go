@@ -406,31 +406,31 @@ func (pt *partition) scheduleWake(t Time, p *Proc) {
 	pt.eq.push(event{at: t, seq: pt.seq, p: p, token: p.token})
 }
 
-// Spawn creates a simulated process named name running fn and schedules it to
-// start at the current virtual time, in partition 0.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(k.parts[0], name, fn, false)
+// Spawn creates a simulated process labelled l running fn and schedules it
+// to start at the current virtual time, in partition 0.
+func (k *Kernel) Spawn(l Label, fn func(p *Proc)) *Proc {
+	return k.spawn(k.parts[0], l, fn, false)
 }
 
 // SpawnIn is Spawn into a specific partition. Mid-run, the caller must be
 // executing in that partition.
-func (k *Kernel) SpawnIn(part int, name string, fn func(p *Proc)) *Proc {
-	return k.spawn(k.parts[part], name, fn, false)
+func (k *Kernel) SpawnIn(part int, l Label, fn func(p *Proc)) *Proc {
+	return k.spawn(k.parts[part], l, fn, false)
 }
 
 // SpawnDaemonIn is SpawnIn for background service processes (protocol
 // daemons, controllers). A blocked daemon does not count as a deadlock: Run
 // returns nil when only daemons remain.
-func (k *Kernel) SpawnDaemonIn(part int, name string, fn func(p *Proc)) *Proc {
-	return k.spawn(k.parts[part], name, fn, true)
+func (k *Kernel) SpawnDaemonIn(part int, l Label, fn func(p *Proc)) *Proc {
+	return k.spawn(k.parts[part], l, fn, true)
 }
 
-func (k *Kernel) spawn(pt *partition, name string, fn func(p *Proc), daemon bool) *Proc {
+func (k *Kernel) spawn(pt *partition, l Label, fn func(p *Proc), daemon bool) *Proc {
 	p := &Proc{
 		pt:      pt,
-		name:    name,
+		label:   l,
 		blocked: true,
-		state:   "start",
+		verb:    "start",
 		daemon:  daemon,
 	}
 	// The coroutine starts at the process's first resume, so a process
@@ -467,7 +467,7 @@ func runProcBody(p *Proc, fn func(*Proc)) {
 		}
 	}()
 	p.blocked = false
-	p.state = "running"
+	p.verb, p.on = "running", nil
 	fn(p)
 }
 
@@ -972,7 +972,7 @@ func (k *Kernel) deadlockCheck() error {
 		}
 		for _, p := range pt.procs {
 			if !p.done && !p.daemon {
-				blocked = append(blocked, p.name+": "+p.state)
+				blocked = append(blocked, p.Name()+": "+p.state())
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func BenchmarkKernelHold(b *testing.B) {
 	per := b.N/procs + 1
 	for i := 0; i < procs; i++ {
 		i := i
-		k.Spawn("p", func(p *Proc) {
+		k.Spawn(L("p"), func(p *Proc) {
 			for j := 0; j < per; j++ {
 				p.Hold(Time(1 + (i+j)%1000))
 			}
@@ -129,15 +129,15 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 	k := NewKernel(1)
 	rounds := b.N/(2*pairs) + 1
 	for i := 0; i < pairs; i++ {
-		a := NewMailbox(k, "a")
-		c := NewMailbox(k, "c")
-		k.Spawn("ping", func(p *Proc) {
+		a := NewMailbox(L("a"))
+		c := NewMailbox(L("c"))
+		k.Spawn(L("ping"), func(p *Proc) {
 			for j := 0; j < rounds; j++ {
 				a.PutKeyed(j, 0, 0)
 				c.RecvKeyed(p, AnyKey, 0)
 			}
 		})
-		k.Spawn("pong", func(p *Proc) {
+		k.Spawn(L("pong"), func(p *Proc) {
 			for j := 0; j < rounds; j++ {
 				a.RecvKeyed(p, AnyKey, 0)
 				p.Hold(Time(j%64 + 1))
@@ -176,18 +176,19 @@ func BenchmarkPartitionedRounds(b *testing.B) {
 			k.SetPartitions(parts, lookahead)
 			k.SetRunWorkers(workers)
 			hops := b.N/parts + 1 // tokens each player receives
-			var mbs [parts]*Mailbox
+			var mbs [parts]Mailbox
 			var deliver [parts]func(any)
 			for i := range mbs {
-				mb := NewMailbox(k, "ring")
-				mbs[i], deliver[i] = mb, func(v any) { mb.PutKeyed(v, 0, 0) }
+				mbs[i] = NewMailbox(L("ring"))
+				mb := &mbs[i]
+				deliver[i] = func(v any) { mb.PutKeyed(v, 0, 0) }
 			}
 			for i := 0; i < parts; i++ {
 				next := (i + 1) % parts
 				if i%(parts/tokens) == 0 {
 					k.PartAt1(i, 0, deliver[i], nil)
 				}
-				k.SpawnIn(i, "player", func(p *Proc) {
+				k.SpawnIn(i, L("player"), func(p *Proc) {
 					rng := k.PartRand(i)
 					for n := 0; n < hops; n++ {
 						mbs[i].RecvKeyed(p, AnyKey, 0)

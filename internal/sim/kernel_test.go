@@ -2,13 +2,14 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 func TestHoldAdvancesTime(t *testing.T) {
 	k := NewKernel(1)
 	var at Time
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		p.Hold(Seconds(2.5))
 		at = p.Now()
 	})
@@ -22,7 +23,7 @@ func TestHoldAdvancesTime(t *testing.T) {
 
 func TestHoldNegativeIsZero(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		p.Hold(-Second)
 		if p.Now() != 0 {
 			t.Errorf("negative hold advanced time to %v", p.Now())
@@ -35,7 +36,7 @@ func TestHoldNegativeIsZero(t *testing.T) {
 
 func TestHoldUntilPastIsNoop(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		p.Hold(Second)
 		p.HoldUntil(Seconds(0.5))
 		if p.Now() != Second {
@@ -71,11 +72,11 @@ func TestEventOrderingFIFOAtSameInstant(t *testing.T) {
 func TestInterleavingIsByTime(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
-	k.Spawn("slow", func(p *Proc) {
+	k.Spawn(L("slow"), func(p *Proc) {
 		p.Hold(Seconds(3))
 		order = append(order, "slow")
 	})
-	k.Spawn("fast", func(p *Proc) {
+	k.Spawn(L("fast"), func(p *Proc) {
 		p.Hold(Seconds(1))
 		order = append(order, "fast")
 	})
@@ -90,9 +91,9 @@ func TestInterleavingIsByTime(t *testing.T) {
 func TestSpawnFromProc(t *testing.T) {
 	k := NewKernel(1)
 	var childRan bool
-	k.Spawn("parent", func(p *Proc) {
+	k.Spawn(L("parent"), func(p *Proc) {
 		p.Hold(Second)
-		k.Spawn("child", func(c *Proc) {
+		k.Spawn(L("child"), func(c *Proc) {
 			if c.Now() != Second {
 				t.Errorf("child started at %v, want 1s", c.Now())
 			}
@@ -123,7 +124,7 @@ func TestAtCallbackRunsAtScheduledTime(t *testing.T) {
 func TestAfterIsRelative(t *testing.T) {
 	k := NewKernel(1)
 	var at Time = -1
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		p.Hold(Seconds(2))
 		k.GlobalAfter(Seconds(3), func() { at = k.Now() })
 	})
@@ -137,8 +138,8 @@ func TestAfterIsRelative(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "never")
-	k.Spawn("stuck", func(p *Proc) {
+	mb := NewMailbox(L("never"))
+	k.Spawn(L("stuck"), func(p *Proc) {
 		mb.RecvKeyed(p, AnyKey, 0)
 	})
 	err := k.Run()
@@ -151,11 +152,51 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportText pins the report's text: each blocked process by
+// its label and state, a primitive's label formatted only here. The same
+// scene with the names spelled as strings produced these exact lines before
+// processes and primitives carried labels. A process using a resource
+// always has its completion scheduled, so only the check at 1s, mid-run,
+// can catch one.
+func TestDeadlockReportText(t *testing.T) {
+	k := NewKernel(1)
+	mb := NewMailbox(L("rank", 0))
+	g := NewGate(L("gate", 1))
+	g.Close()
+	disk := NewResource(L("disk", 2), 1)
+	rx := NewCounter(L("rx", 5, 3))
+	idle := NewMailbox(L("ctrl", 0))
+	k.Spawn(L("rank", 0), func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
+	k.Spawn(L("rank", 1), func(p *Proc) { g.Pass(p) })
+	k.Spawn(L("rank", 2), func(p *Proc) { disk.Use(p, 3) })
+	k.Spawn(L("rank", 5), func(p *Proc) { rx.AwaitAtLeast(p, 1) })
+	k.SpawnDaemonIn(0, L("ckptd", 0), func(p *Proc) { idle.RecvKeyed(p, AnyKey, 0) })
+	var mid error
+	k.At(Second, func() { mid = k.deadlockCheck() })
+	err := k.Run()
+
+	const wantMid = "sim: deadlock at 1s: 4 blocked process(es): [rank0: recv rank0 rank1: gate gate1 rank2: resource disk2 rank5: counter rx5<-3]"
+	if mid == nil || mid.Error() != wantMid {
+		t.Errorf("report at 1s = %v\nwant %s", mid, wantMid)
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	const wantEnd = "sim: deadlock at 3s: 3 blocked process(es): [rank0: recv rank0 rank1: gate gate1 rank5: counter rx5<-3]"
+	if err.Error() != wantEnd {
+		t.Errorf("Run = %v\nwant %s", err, wantEnd)
+	}
+	if want := []string{"rank0: recv rank0", "rank1: gate gate1", "rank5: counter rx5<-3"}; !slices.Equal(de.Blocked, want) {
+		t.Errorf("Blocked = %q, want %q", de.Blocked, want)
+	}
+}
+
 func TestNoDeadlockWhenAllFinish(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
-	k.Spawn("recv", func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
-	k.Spawn("send", func(p *Proc) {
+	mb := NewMailbox(L("mb"))
+	k.Spawn(L("recv"), func(p *Proc) { mb.RecvKeyed(p, AnyKey, 0) })
+	k.Spawn(L("send"), func(p *Proc) {
 		p.Hold(Second)
 		mb.PutKeyed("hello", 0, 0)
 	})
@@ -184,9 +225,9 @@ func TestStaleWakeupDropped(t *testing.T) {
 	// A process scheduled to wake at t=2 via Hold but woken earlier via a
 	// mailbox put must not be woken twice.
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	wakeups := 0
-	k.Spawn("sleeper", func(p *Proc) {
+	k.Spawn(L("sleeper"), func(p *Proc) {
 		// Block on the mailbox; the put arrives at t=1.
 		mb.RecvKeyed(p, AnyKey, 0)
 		wakeups++
@@ -197,7 +238,7 @@ func TestStaleWakeupDropped(t *testing.T) {
 			t.Errorf("sleeper resumed at %v, want 5s", p.Now())
 		}
 	})
-	k.Spawn("waker", func(p *Proc) {
+	k.Spawn(L("waker"), func(p *Proc) {
 		p.Hold(Second)
 		mb.PutKeyed(1, 0, 0)
 		mb.PutKeyed(2, 0, 0) // second put queues; must not wake the Hold early
@@ -228,9 +269,9 @@ func TestDeterminismSameSeed(t *testing.T) {
 	run := func(seed int64) []Time {
 		k := NewKernel(seed)
 		var times []Time
-		mb := NewMailbox(k, "mb")
+		mb := NewMailbox(L("mb"))
 		for i := 0; i < 5; i++ {
-			k.Spawn("worker", func(p *Proc) {
+			k.Spawn(L("worker"), func(p *Proc) {
 				for j := 0; j < 20; j++ {
 					p.Hold(Time(k.Rand().Int63n(int64(Second))))
 					mb.PutKeyed(j, 0, 0)
@@ -238,7 +279,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 				}
 			})
 		}
-		k.Spawn("drain", func(p *Proc) {
+		k.Spawn(L("drain"), func(p *Proc) {
 			for i := 0; i < 100; i++ {
 				mb.RecvKeyed(p, AnyKey, 0)
 			}
@@ -278,7 +319,7 @@ func TestManyProcs(t *testing.T) {
 	var finished int
 	for i := 0; i < n; i++ {
 		i := i
-		k.Spawn("p", func(p *Proc) {
+		k.Spawn(L("p"), func(p *Proc) {
 			p.Hold(Time(i) * Millisecond)
 			finished++
 		})
@@ -296,7 +337,7 @@ func TestManyProcs(t *testing.T) {
 
 func TestProcAccessors(t *testing.T) {
 	k := NewKernel(1)
-	p := k.Spawn("named", func(p *Proc) {})
+	p := k.Spawn(L("named"), func(p *Proc) {})
 	if p.Name() != "named" {
 		t.Errorf("Name = %q", p.Name())
 	}

@@ -9,11 +9,9 @@ const AnyKey = -1
 // from a given source (or AnyKey) — MPI's matching rule, with no closure per
 // receive. Messages that match no current waiter queue up in FIFO order.
 type Mailbox struct {
-	k         *Kernel
-	name      string
-	recvState string // "recv <name>", precomputed for block()
-	items     []mboxItem
-	waiters   []*mboxWaiter
+	label   Label
+	items   []mboxItem
+	waiters []*mboxWaiter
 }
 
 // mboxItem is one queued message plus its match keys.
@@ -39,10 +37,9 @@ func keyMatches(a, b int, it *mboxItem) bool {
 	return (a == AnyKey || a == it.a) && b == it.b
 }
 
-// NewMailbox returns an empty mailbox. name is used in deadlock reports.
-func NewMailbox(k *Kernel, name string) *Mailbox {
-	return &Mailbox{k: k, name: name, recvState: "recv " + name}
-}
+// NewMailbox returns an empty mailbox, labelled l in deadlock reports, by
+// value (see NewCounter).
+func NewMailbox(l Label) Mailbox { return Mailbox{label: l} }
 
 // Len returns the number of queued (unmatched) messages.
 func (m *Mailbox) Len() int { return len(m.items) }
@@ -91,7 +88,7 @@ func (m *Mailbox) take(i int) any {
 func (m *Mailbox) wait(p *Proc) any {
 	w := &p.mbw
 	m.waiters = append(m.waiters, w)
-	p.block(m.recvState)
+	p.block("recv", &m.label)
 	if !w.ok {
 		panic("sim: spurious wakeup in Mailbox.RecvKeyed")
 	}

@@ -6,14 +6,14 @@ type tmsg struct{ src, tag int }
 
 func TestMailboxFIFO(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	var got []int
-	k.Spawn("recv", func(p *Proc) {
+	k.Spawn(L("recv"), func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			got = append(got, mb.RecvKeyed(p, AnyKey, 0).(int))
 		}
 	})
-	k.Spawn("send", func(p *Proc) {
+	k.Spawn(L("send"), func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			mb.PutKeyed(i, 0, 0)
 			p.Hold(Millisecond)
@@ -31,10 +31,10 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestMailboxQueuedMessageMatchedImmediately(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	mb.PutKeyed(tmsg{src: 7}, 7, 0)
 	var at Time = -1
-	k.Spawn("recv", func(p *Proc) {
+	k.Spawn(L("recv"), func(p *Proc) {
 		p.Hold(Second)
 		mb.RecvKeyed(p, 7, 0)
 		at = p.Now()
@@ -49,17 +49,17 @@ func TestMailboxQueuedMessageMatchedImmediately(t *testing.T) {
 
 func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	var order []string
 	spawnWaiter := func(name string) {
-		k.Spawn(name, func(p *Proc) {
+		k.Spawn(L(name), func(p *Proc) {
 			mb.RecvKeyed(p, AnyKey, 0)
 			order = append(order, name)
 		})
 	}
 	spawnWaiter("first")
 	spawnWaiter("second")
-	k.Spawn("send", func(p *Proc) {
+	k.Spawn(L("send"), func(p *Proc) {
 		p.Hold(Second)
 		mb.PutKeyed(1, 0, 0)
 		p.Hold(Second)
@@ -75,16 +75,16 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 
 func TestMailboxWaitersMatchedByKey(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	var tagGot = map[int]int{}
 	for _, tag := range []int{10, 20} {
 		tag := tag
-		k.Spawn("recv", func(p *Proc) {
+		k.Spawn(L("recv"), func(p *Proc) {
 			v := mb.RecvKeyed(p, AnyKey, tag)
 			tagGot[tag] = v.(tmsg).src
 		})
 	}
-	k.Spawn("send", func(p *Proc) {
+	k.Spawn(L("send"), func(p *Proc) {
 		p.Hold(Millisecond)
 		mb.PutKeyed(tmsg{src: 1, tag: 20}, 1, 20) // delivered to the tag=20 waiter
 		mb.PutKeyed(tmsg{src: 2, tag: 10}, 2, 10)
@@ -99,9 +99,9 @@ func TestMailboxWaitersMatchedByKey(t *testing.T) {
 
 func TestMailboxPutFromKernelContext(t *testing.T) {
 	k := NewKernel(1)
-	mb := NewMailbox(k, "mb")
+	mb := NewMailbox(L("mb"))
 	var at Time
-	k.Spawn("recv", func(p *Proc) {
+	k.Spawn(L("recv"), func(p *Proc) {
 		mb.RecvKeyed(p, AnyKey, 0)
 		at = p.Now()
 	})

@@ -25,7 +25,7 @@ func newBusyModel(workers int) (*Kernel, *metrics.Collector) {
 	for i := 0; i < parts; i++ {
 		next := (i + 1) % parts
 		for range procs {
-			k.SpawnIn(i, "busy", func(p *Proc) {
+			k.SpawnIn(i, L("busy"), func(p *Proc) {
 				rng := k.PartRand(i)
 				for range holds {
 					p.Hold(Time(rng.Int63n(int64(ringLookahead) << (2 * i))))
@@ -84,7 +84,7 @@ func TestSerialRunSamplesQueueDepth(t *testing.T) {
 	col := metrics.New()
 	k.SetMetrics(NewMetrics(col))
 	for range 64 {
-		k.Spawn("p", func(p *Proc) {
+		k.Spawn(L("p"), func(p *Proc) {
 			for range 50 {
 				p.Hold(Microsecond)
 			}

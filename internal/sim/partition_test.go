@@ -45,11 +45,11 @@ func newRingModel(workers int) *ringModel {
 	k.SetRunWorkers(workers)
 	k.OnBarrier(func() { m.hooks++ })
 
-	var mbs [ringParts]*Mailbox
+	var mbs [ringParts]Mailbox
 	var deliver [ringParts]func(any)
 	for i := range mbs {
-		mbs[i] = NewMailbox(k, fmt.Sprintf("ring%d", i))
-		mb := mbs[i]
+		mbs[i] = NewMailbox(L("ring", i))
+		mb := &mbs[i]
 		deliver[i] = func(v any) { mb.PutKeyed(v, 0, 0) }
 	}
 	const hops = ringParts*ringLaps - 1 // a token is received hops+1 times
@@ -57,7 +57,7 @@ func newRingModel(workers int) *ringModel {
 		i := i
 		next := (i + 1) % ringParts
 		k.PartAt1(i, 0, deliver[i], 0)
-		k.SpawnIn(i, fmt.Sprintf("player%d", i), func(p *Proc) {
+		k.SpawnIn(i, L("player", i), func(p *Proc) {
 			rng := k.PartRand(i)
 			for n := 0; n < ringParts*ringLaps; n++ {
 				hop := mbs[i].RecvKeyed(p, AnyKey, 0).(int)
@@ -69,7 +69,7 @@ func newRingModel(workers int) *ringModel {
 			}
 		})
 		// Local traffic beside the ring: a partition-internal ticker.
-		k.SpawnIn(i, fmt.Sprintf("ticker%d", i), func(p *Proc) {
+		k.SpawnIn(i, L("ticker", i), func(p *Proc) {
 			for n := 0; n < 20; n++ {
 				p.Hold(7 * Microsecond)
 				m.logs[i] = append(m.logs[i], fmt.Sprintf("t=%d p%d tick", p.Now(), i))
@@ -220,8 +220,8 @@ func TestPartitionedInterruptFromGlobalEvent(t *testing.T) {
 func TestPartitionedDeadlock(t *testing.T) {
 	forWorkers(t, func(w int) *ringModel {
 		m := newRingModel(w)
-		never := NewMailbox(m.k, "never")
-		m.k.SpawnIn(2, "stuck", func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
+		never := NewMailbox(L("never"))
+		m.k.SpawnIn(2, L("stuck"), func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
 		return m
 	}, func(t *testing.T, out ringOutcome) {
 		if !strings.Contains(out.Err, "deadlock") || !strings.Contains(out.Err, "stuck") {
@@ -229,8 +229,8 @@ func TestPartitionedDeadlock(t *testing.T) {
 		}
 	})
 	m := newRingModel(1)
-	never := NewMailbox(m.k, "never")
-	m.k.SpawnIn(3, "stuck", func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
+	never := NewMailbox(L("never"))
+	m.k.SpawnIn(3, L("stuck"), func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
 	err := m.k.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) || len(de.Blocked) != 1 {
@@ -249,7 +249,7 @@ func TestPartitionedInterruptFromOutside(t *testing.T) {
 		k.SetPartitions(ringParts, ringLookahead)
 		k.SetRunWorkers(w)
 		for i := 0; i < ringParts; i++ {
-			k.SpawnIn(i, "spinner", func(p *Proc) {
+			k.SpawnIn(i, L("spinner"), func(p *Proc) {
 				for {
 					p.Hold(Microsecond)
 				}
@@ -277,7 +277,7 @@ func TestPartitionedInterruptFromOutside(t *testing.T) {
 func TestCrossAt1RefusesOutsideWindow(t *testing.T) {
 	k := NewKernel(1)
 	k.SetPartitions(2, ringLookahead)
-	k.SpawnIn(1, "idle", func(p *Proc) { p.Hold(Microsecond) })
+	k.SpawnIn(1, L("idle"), func(p *Proc) { p.Hold(Microsecond) })
 	k.GlobalAt(0, func() {
 		k.CrossAt1(0, 1, ringLookahead, func(any) {}, nil)
 	})
@@ -300,7 +300,7 @@ func TestSerialKernelBarrierFiresOnce(t *testing.T) {
 	k.SetMetrics(NewMetrics(col))
 	hooks := 0
 	k.OnBarrier(func() { hooks++ })
-	k.Spawn("a", func(p *Proc) {
+	k.Spawn(L("a"), func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			p.Hold(Microsecond)
 		}

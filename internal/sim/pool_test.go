@@ -39,7 +39,7 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 			func(err error, v any) bool { return err == nil && v == nil }},
 		{"panic", func(w int) *Kernel {
 			k := newRingModel(w).k
-			k.SpawnIn(1, "bomb", func(p *Proc) {
+			k.SpawnIn(1, L("bomb"), func(p *Proc) {
 				p.Hold(50 * Microsecond)
 				panic(boom)
 			})
@@ -50,7 +50,7 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 			k.SetPartitions(ringParts, ringLookahead)
 			k.SetRunWorkers(w)
 			for i := 0; i < ringParts; i++ {
-				k.SpawnIn(i, "spinner", func(p *Proc) {
+				k.SpawnIn(i, L("spinner"), func(p *Proc) {
 					for {
 						p.Hold(Microsecond)
 					}
@@ -76,8 +76,8 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 		}, func(err error, v any) bool { return err == nil && v == nil }},
 		{"deadlock", func(w int) *Kernel {
 			k := newRingModel(w).k
-			never := NewMailbox(k, "never")
-			k.SpawnIn(2, "stuck", func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
+			never := NewMailbox(L("never"))
+			k.SpawnIn(2, L("stuck"), func(p *Proc) { never.RecvKeyed(p, AnyKey, 0) })
 			return k
 		}, func(err error, v any) bool {
 			var de *DeadlockError
@@ -127,7 +127,7 @@ func TestPoolMembersCappedAtGOMAXPROCS(t *testing.T) {
 		k.SetPartitions(c.parts, Microsecond)
 		k.SetRunWorkers(c.workers)
 		for i := 0; i < c.parts; i++ {
-			k.SpawnIn(i, "p", func(p *Proc) {
+			k.SpawnIn(i, L("p"), func(p *Proc) {
 				for j := 0; j < 20; j++ {
 					p.Hold(Microsecond)
 				}

@@ -13,19 +13,18 @@ package sim
 //     blocking (computing the delivery time of an in-flight message as it
 //     passes through the receiver's NIC).
 type Resource struct {
-	k        *Kernel
-	name     string
-	useState string  // "resource <name>", precomputed for block()
-	rate     float64 // bytes per second
-	freeAt   Time
+	label  Label
+	rate   float64 // bytes per second
+	freeAt Time
 }
 
-// NewResource returns a resource serving rate bytes per second.
-func NewResource(k *Kernel, name string, rate float64) *Resource {
+// NewResource returns a resource serving rate bytes per second, labelled l
+// in deadlock reports, by value (see NewCounter).
+func NewResource(l Label, rate float64) Resource {
 	if rate <= 0 {
 		panic("sim: Resource rate must be positive")
 	}
-	return &Resource{k: k, name: name, useState: "resource " + name, rate: rate}
+	return Resource{label: l, rate: rate}
 }
 
 // serviceTime returns the time needed to serve n bytes.
@@ -57,6 +56,6 @@ func (r *Resource) BlockUntil(t Time) {
 func (r *Resource) Use(p *Proc, n int64) Time {
 	end := r.ReserveAt(p.pt.now, n)
 	p.pt.scheduleWake(end, p)
-	p.block(r.useState)
+	p.block("resource", &r.label)
 	return end
 }

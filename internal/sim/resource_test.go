@@ -7,9 +7,9 @@ import (
 
 func TestResourceServiceTime(t *testing.T) {
 	k := NewKernel(1)
-	r := NewResource(k, "disk", 100) // 100 B/s
+	r := NewResource(L("disk"), 100) // 100 B/s
 	var end Time
-	k.Spawn("w", func(p *Proc) {
+	k.Spawn(L("w"), func(p *Proc) {
 		end = r.Use(p, 250)
 	})
 	if err := k.Run(); err != nil {
@@ -22,10 +22,10 @@ func TestResourceServiceTime(t *testing.T) {
 
 func TestResourceFIFOQueueing(t *testing.T) {
 	k := NewKernel(1)
-	r := NewResource(k, "nic", 100)
+	r := NewResource(L("nic"), 100)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", func(p *Proc) {
+		k.Spawn(L("w"), func(p *Proc) {
 			ends = append(ends, r.Use(p, 100)) // 1s each
 		})
 	}
@@ -42,8 +42,7 @@ func TestResourceFIFOQueueing(t *testing.T) {
 }
 
 func TestReserveAtRespectsEarlierBookings(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "nic", 1000)
+	r := NewResource(L("nic"), 1000)
 	end1 := r.ReserveAt(Seconds(1), 1000) // busy 1s..2s
 	if end1 != Seconds(2) {
 		t.Fatalf("end1 = %v", end1)
@@ -59,8 +58,7 @@ func TestReserveAtRespectsEarlierBookings(t *testing.T) {
 }
 
 func TestResourceStats(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "disk", 100)
+	r := NewResource(L("disk"), 100)
 	// At 100 B/s, back-to-back bookings of 300 and 200 bytes from t=0 keep
 	// the server busy for exactly 5 s: their completion times account for
 	// every byte served at the configured rate.
@@ -78,7 +76,7 @@ func TestResourceZeroRatePanics(t *testing.T) {
 			t.Error("zero rate did not panic")
 		}
 	}()
-	NewResource(NewKernel(1), "bad", 0)
+	NewResource(L("bad"), 0)
 }
 
 // Property: total completion time of n back-to-back requests equals the sum
@@ -89,8 +87,7 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		if len(sizes) == 0 {
 			return true
 		}
-		k := NewKernel(1)
-		r := NewResource(k, "x", 1000)
+		r := NewResource(L("x"), 1000)
 		var total int64
 		var prev Time = -1
 		for _, s := range sizes {

@@ -15,6 +15,10 @@
 //   - Gate: freeze/unfreeze points (checkpoint "Lock MPI")
 //   - Counter: monotone counters with await-at-least (channel drains)
 //
+// Processes and primitives carry a Label, formatted only when a deadlock
+// report names them, and each primitive is returned by value for its owner
+// to embed.
+//
 // NewRand builds the simulation's seeded random streams: math/rand's
 // values, without its 4.9 KB register until a stream's 274th draw.
 //

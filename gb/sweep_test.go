@@ -24,7 +24,6 @@ func fastScenario(t *testing.T) *gb.Scenario {
 		"modes": ["GP", "GP1"],
 		"checkpoint": {"atS": 0.5},
 		"reps": 2,
-		"reps": 1,
 		"seed": 3
 	}`))
 	if err != nil {

@@ -202,7 +202,7 @@ func (e *Engine) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time {
 	st := &e.states[r.ID]
 	d := st.logs.Log(m.Dst, m.Bytes, r.Now())
 	if rr, owed := st.owedPB[m.Dst]; owed {
-		m.PB, m.HasPB = rr, true
+		m.Val, m.HasPB = rr, true
 		delete(st.owedPB, m.Dst)
 	}
 	return d
@@ -213,7 +213,7 @@ func (e *Engine) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time {
 // receiving a message from process P").
 func (e *Engine) OnDeliver(d *mpi.Rank, m *mpi.Msg) {
 	if m.HasPB {
-		e.states[d.ID].logs.GC(m.Src, m.PB)
+		e.states[d.ID].logs.GC(m.Src, m.Val)
 	}
 }
 

@@ -41,8 +41,10 @@ const (
 )
 
 // Msg is a message envelope. Payload is optional structured data (used by
-// tests and the restart protocol), Val a control message's one integer (an
-// epoch, a bookmark's byte count); Bytes is what the network model charges.
+// tests and the restart protocol); Bytes is what the network model charges.
+// Val is the envelope's one integer: on a control message, the value
+// CtrlSend was given (an epoch, a bookmark's byte count); on an
+// application message, the sender's piggybacked RR volume if HasPB is set.
 //
 // Application envelopes are pooled: an envelope obtained from Recv is owned
 // by the caller until it is returned to the pool with World.Free (or until
@@ -52,7 +54,6 @@ type Msg struct {
 	Bytes         int64
 	Payload       any
 	Val           int64
-	PB            int64 // piggybacked RR volume of the sender, if HasPB
 	SendTime      sim.Time
 	ArriveTime    sim.Time
 	HasPB         bool
@@ -366,7 +367,7 @@ func (w *World) newMsg(part int) *Msg {
 }
 
 // Free returns an envelope to the world's pool. The caller must hold the
-// only live reference: the envelope's fields (including Payload and PB) are
+// only live reference: the envelope's fields (including Payload and Val) are
 // cleared and the memory is reused by a future Send. Freeing an envelope
 // already in the pool is a bug; it is recorded in Stats.DoubleFrees and the
 // envelope is not pushed a second time.

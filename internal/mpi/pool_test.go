@@ -36,8 +36,8 @@ func TestEnvelopePoolRecycles(t *testing.T) {
 	if got == nil || got.Bytes != 77 || got.Payload != "fresh" || got.Tag != 2 {
 		t.Fatalf("reused envelope carries stale data: %+v", got)
 	}
-	if got.HasPB || got.PB != 0 {
-		t.Errorf("reused envelope kept a piggyback: %d (flag %v)", got.PB, got.HasPB)
+	if got.HasPB || got.Val != 0 {
+		t.Errorf("reused envelope kept a piggyback: %d (flag %v)", got.Val, got.HasPB)
 	}
 }
 
@@ -47,7 +47,7 @@ type piggybackRound1 struct{}
 
 func (piggybackRound1) BeforeSend(r *Rank, m *Msg) sim.Time {
 	if m.Tag == 1 {
-		m.PB, m.HasPB = 42, true
+		m.Val, m.HasPB = 42, true
 	}
 	return 0
 }

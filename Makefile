@@ -1,11 +1,9 @@
 # CI and humans invoke the same targets: `make ci` is exactly what
-# .github/workflows/ci.yml runs.
+# .github/workflows/ci.yml runs, in the same order (TestMakeCIMatchesWorkflow).
 
 GO ?= go
-SHORT_SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
-COMMIT_WHEN := $(shell git show -s --format=%cI HEAD 2>/dev/null || echo "")
 
-.PHONY: build test race headline-claims parallel-race bench bench-test bench-digests bench-json bench-diff bench-trend fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
+.PHONY: build test race headline-claims parallel-race bench bench-test bench-digests fuzz-smoke smoke examples-smoke check-smoke gbd-smoke gbd-smoke-race tune-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -44,8 +42,10 @@ parallel-race:
 	$(GO) test -race -run TestParallelKernelMultiGroupRace -v ./gb
 	$(GO) test -race -count=20 -run '^(TestPool|TestMetricsIdenticalAtEveryWorkerCount$$)' ./internal/sim
 
-# One iteration of every benchmark — a smoke pass proving the experiment
-# suite still regenerates each figure, not a timing run.
+# One iteration of every layer microbenchmark (internal/ and gb/gbd): a
+# smoke pass proving each still runs, not a timing run. The simulator is
+# timed by the repository benchmark (bench/run.sh); what it simulates is
+# pinned by the goldens and TestHeadlineClaims.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -65,42 +65,6 @@ bench-test:
 # benchmark judges by fails here instead of at the next benchmark run.
 bench-digests:
 	bash bench/run.sh --seed 1 --seconds 1 --trace 0
-
-# Benchmark timings archived as JSON, one file per commit: every benchmark
-# at one iteration (end-to-end wall times, figure regenerations included)
-# except the sim kernel and mpi send-path hot-path benchmarks, which run at
-# a statistically meaningful benchtime instead — the send path must show
-# its steady-state 0 allocs/op, not a warmup-amortized count. CI uploads
-# the file as a workflow artifact on every push, recording the performance
-# trajectory; the report carries the commit time so `bench-trend` can order
-# reports chronologically.
-bench-json:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) test -bench=. -benchtime=1x -run='^$$' \
-		$$($(GO) list ./... | grep -v -e '/internal/sim$$' -e '/internal/mpi$$') > $$tmp/full.txt; \
-	$(GO) test -bench=. -benchtime=0.5s -run='^$$' ./internal/sim ./internal/mpi > $$tmp/hot.txt; \
-	cat $$tmp/full.txt $$tmp/hot.txt \
-		| $(GO) run ./cmd/benchjson -commit $(SHORT_SHA) -when "$(COMMIT_WHEN)" > BENCH_$(SHORT_SHA).json; \
-	echo wrote BENCH_$(SHORT_SHA).json
-
-# Two-point check: compare the fresh BENCH_<sha>.json against the committed
-# baseline and flag >20% wall-clock regressions on the scenario/kernel
-# benchmarks. CI runs this as a non-blocking check (shared-runner timings
-# are noisy); regenerate the baseline with `make bench-json &&
-# cp BENCH_<sha>.json bench-baseline.json` after an intentional performance
-# change. For the multi-commit view, use `bench-trend` instead.
-bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -baseline bench-baseline.json \
-		-current BENCH_$(SHORT_SHA).json
-
-# Trajectory view: render every BENCH_*.json under TREND_DIR as a markdown
-# trend table — one column per commit, one row per tracked (benchmark,
-# metric) — and exit non-zero when ns/op, allocs/op, or GP_ckpt_s drifted
-# up >20% in the newest report. CI downloads recent push artifacts into a
-# directory and posts the table to the job summary; see EXPERIMENTS.md.
-TREND_DIR ?= .
-bench-trend:
-	$(GO) run ./cmd/benchdiff -trend $(TREND_DIR)
 
 # Short native-fuzzing smoke runs: the scenario spec parser (parser and
 # validator drift), the simcheck end-to-end oracle (each fuzz input is a
@@ -182,4 +146,4 @@ lint:
 		exit 1; \
 	fi
 
-ci: lint build race headline-claims bench bench-test bench-digests smoke examples-smoke check-smoke fuzz-smoke gbd-smoke tune-smoke
+ci: lint build race headline-claims bench bench-test bench-digests smoke examples-smoke check-smoke fuzz-smoke gbd-smoke gbd-smoke-race tune-smoke parallel-race

@@ -47,8 +47,9 @@
 // workers and collects results in stable order — `gbexp -parallel N`
 // output is byte-identical to serial runs.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation (reduced problem sizes by default; `go run ./cmd/gbexp
-// -exp all` runs them at paper scale). See DESIGN.md for the system
+// `go run ./cmd/gbexp -exp all` regenerates every table and figure of the
+// paper's evaluation at paper scale, and `-quick` at reduced problem sizes,
+// which examples/paper/all-quick.golden pins byte for byte. The repository
+// benchmark under bench/ times the simulator. See DESIGN.md for the system
 // inventory and EXPERIMENTS.md for paper-vs-measured results.
 package repro

@@ -105,8 +105,8 @@ func TestTuneOptionScopes(t *testing.T) {
 // infant-mortality profile (the modern-weibull scenario family, scaled to
 // test budget), the tuner's recommended policy must measure rank-seconds
 // lost no worse than any cell of the classic group-size ablation grid
-// (G ∈ {2,4,8,16,32}, the BenchmarkAblationGroupSize axis) — and no worse
-// than the spec's own baseline policy.
+// (G ∈ {2,4,8,16,32}, the paper's tunable) — and no worse than the spec's
+// own baseline policy.
 func TestTuneModernWeibull(t *testing.T) {
 	ts := &gb.TuneSpec{
 		Base: &gb.Scenario{

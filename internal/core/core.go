@@ -123,8 +123,8 @@ type rankState struct {
 	members []int // checkpoint group, sorted, including self
 	logs    *mlog.Set
 	// owedPB holds, for each peer owed a piggyback on the next send, the
-	// RR_X volume recorded for it at the last checkpoint. Nil until the
-	// rank's first checkpoint records an out-of-group peer.
+	// RR_X volume recorded for it at the last checkpoint. Nil while no
+	// piggyback is owed.
 	owedPB map[int]int64
 }
 
@@ -204,6 +204,9 @@ func (e *Engine) BeforeSend(r *mpi.Rank, m *mpi.Msg) sim.Time {
 	if rr, owed := st.owedPB[m.Dst]; owed {
 		m.Val, m.HasPB = rr, true
 		delete(st.owedPB, m.Dst)
+		if len(st.owedPB) == 0 {
+			st.owedPB = nil // an emptied map keeps its table
+		}
 	}
 	return d
 }

@@ -262,6 +262,13 @@ func TestPiggybackGarbageCollection(t *testing.T) {
 	if collected == 0 {
 		t.Error("no log bytes were garbage-collected after the checkpoint")
 	}
+	// A rank that owes no more piggybacks holds no table: an emptied Go map
+	// keeps its buckets, under GP1 one map per rank for the rest of the run.
+	for i := range e.states {
+		if owed := e.states[i].owedPB; owed != nil && len(owed) == 0 {
+			t.Errorf("rank %d keeps an allocated, empty owedPB map", i)
+		}
+	}
 }
 
 func TestPeriodicCheckpoints(t *testing.T) {

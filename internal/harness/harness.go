@@ -470,10 +470,6 @@ func formationFor(ctx context.Context, spec Spec) (group.Formation, error) {
 
 var formationCache runner.Memo[group.Formation]
 
-// ResetCaches clears the memoized tracing formations. The benchmarks call
-// it so every iteration measures real work.
-func ResetCaches() { formationCache.Reset() }
-
 // tracedFormation runs the workload once with the streaming CommMatrix
 // tracer (no checkpoints) and feeds the matrix to Algorithm 2, so the
 // tracing pass's memory is bounded by communicating pairs rather than

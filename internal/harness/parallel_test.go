@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/group"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -12,7 +14,7 @@ import (
 // goroutines: same-key callers must share one tracing pass, different keys
 // must not corrupt each other. Run under -race in CI.
 func TestConcurrentFormationCache(t *testing.T) {
-	ResetCaches()
+	formationCache = runner.Memo[group.Formation]{} // every key builds here
 	specs := []Spec{
 		{WL: workload.NewSynthetic(8, 40), Mode: GP, Seed: 1},
 		{WL: workload.NewSynthetic(8, 40), Mode: GP, Seed: 2},  // same key as above
@@ -47,7 +49,7 @@ func TestConcurrentFormationCache(t *testing.T) {
 // TestConcurrentRuns runs full GP simulations concurrently — the workload
 // the parallel engine puts on Run — and checks determinism of the results.
 func TestConcurrentRuns(t *testing.T) {
-	ResetCaches()
+	formationCache = runner.Memo[group.Formation]{} // the runs share one build
 	spec := Spec{
 		WL: workload.NewSynthetic(8, 40), Mode: GP, Seed: 42,
 		Sched: Schedule{At: 1e9},

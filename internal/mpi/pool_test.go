@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -131,37 +132,57 @@ func TestSparsePeerStateOnlyTouchedChannels(t *testing.T) {
 
 // TestSendPathSteadyStateAllocs asserts the headline property directly:
 // once the pool is warm, a Sendrecv round trip performs zero heap
-// allocations.
+// allocations, bare and with the world's and the kernel's metrics attached
+// (OBSERVABILITY.md, *The zero-alloc guarantee*).
 func TestSendPathSteadyStateAllocs(t *testing.T) {
-	k, w := testWorld(t, 1, 2)
-	const iters = 200
-	var allocs uint64
-	w.Launch(func(r *Rank) {
-		other := 1 - r.ID
-		for i := 0; i < 20; i++ { // warm the pool, counters, heap capacity
-			r.Sendrecv(other, 1, 4096, other, 1)
-		}
-		if r.ID == 0 {
-			var ms1, ms2 runtime.MemStats
-			runtime.ReadMemStats(&ms1)
-			for i := 0; i < iters; i++ {
-				r.Sendrecv(other, 1, 4096, other, 1)
+	for _, tc := range []struct {
+		name    string
+		metered bool
+	}{{"bare", false}, {"metered", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, w := testWorld(t, 1, 2)
+			col := metrics.New()
+			if tc.metered {
+				w.SetMetrics(NewMetrics(col))
+				k.SetMetrics(sim.NewMetrics(col))
 			}
-			runtime.ReadMemStats(&ms2)
-			allocs = ms2.Mallocs - ms1.Mallocs
-		} else {
-			for i := 0; i < iters; i++ {
-				r.Sendrecv(other, 1, 4096, other, 1)
+			const warm, iters = 20, 200
+			var allocs uint64
+			w.Launch(func(r *Rank) {
+				other := 1 - r.ID
+				for i := 0; i < warm; i++ { // warm the pool, counters, heap capacity
+					r.Sendrecv(other, 1, 4096, other, 1)
+				}
+				if r.ID == 0 {
+					var ms1, ms2 runtime.MemStats
+					runtime.ReadMemStats(&ms1)
+					for i := 0; i < iters; i++ {
+						r.Sendrecv(other, 1, 4096, other, 1)
+					}
+					runtime.ReadMemStats(&ms2)
+					allocs = ms2.Mallocs - ms1.Mallocs
+				} else {
+					for i := 0; i < iters; i++ {
+						r.Sendrecv(other, 1, 4096, other, 1)
+					}
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Allow a little slack for runtime-internal allocation (GC assists,
-	// goroutine bookkeeping); the pre-pool path allocated ≥6 per message.
-	if perMsg := float64(allocs) / (2 * iters); perMsg > 1 {
-		t.Errorf("steady-state send path allocates %.2f objects/message, want ≈0", perMsg)
+			if tc.metered {
+				if v, _ := col.Snapshot().Counter("mpi_sends_total"); v != 2*(warm+iters) {
+					t.Fatalf("mpi_sends_total = %d, want %d: metrics not attached", v, 2*(warm+iters))
+				}
+			}
+			// Allow a little slack for runtime-internal allocation (GC
+			// assists, goroutine bookkeeping, the kernel's queue-depth
+			// sample slice growing); the pre-pool path allocated ≥6 per
+			// message.
+			if perMsg := float64(allocs) / (2 * iters); perMsg > 1 {
+				t.Errorf("steady-state send path allocates %.2f objects/message, want ≈0", perMsg)
+			}
+		})
 	}
 }
 

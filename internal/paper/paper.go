@@ -217,10 +217,3 @@ func modeCols(modes []string, unit string) []string {
 	}
 	return out
 }
-
-// ResetCaches clears the memoized sweeps and the harness's tracing
-// formations. The benchmarks call it so every iteration measures real work.
-func ResetCaches() {
-	harness.ResetCaches()
-	memo.Reset()
-}

@@ -178,7 +178,7 @@ func Each[K, T any](ctx context.Context, workers int, keys []K, fn func(K) (T, e
 // expensive shared artifacts (tracing passes, the paper's sweeps).
 // Concurrent callers of Get with the same key block until the single build
 // completes and then share its result; callers with different keys build
-// concurrently. Results — including errors — stay cached until Reset.
+// concurrently. Results — including errors — stay cached until Forget.
 type Memo[T any] struct {
 	mu sync.Mutex
 	m  map[string]*memoEntry[T]
@@ -220,12 +220,4 @@ func (c *Memo[T]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Reset drops every cached entry. Builds already in flight complete against
-// the old generation and are not visible to later Gets.
-func (c *Memo[T]) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
 }

@@ -188,9 +188,9 @@ func TestMemoSingleBuild(t *testing.T) {
 	}
 }
 
-// TestMemoErrorCachedUntilReset: a failed build is cached (deterministic
-// simulations fail identically on retry) and cleared by Reset.
-func TestMemoErrorCachedUntilReset(t *testing.T) {
+// TestMemoErrorCachedUntilForget: a failed build is cached (deterministic
+// simulations fail identically on retry) and cleared by Forget.
+func TestMemoErrorCachedUntilForget(t *testing.T) {
 	var m Memo[int]
 	var builds atomic.Int64
 	boom := errors.New("boom")
@@ -207,9 +207,9 @@ func TestMemoErrorCachedUntilReset(t *testing.T) {
 	if builds.Load() != 1 {
 		t.Fatalf("builds = %d, want 1 (error should be cached)", builds.Load())
 	}
-	m.Reset()
+	m.Forget("k")
 	if v, err := m.Get("k", func() (int, error) { return 9, nil }); err != nil || v != 9 {
-		t.Fatalf("after Reset: %d, %v; want 9, nil", v, err)
+		t.Fatalf("after Forget: %d, %v; want 9, nil", v, err)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // testOnlyAllowed lists the declarations under internal/ that only tests
 // use and that stay anyway, each with the reason it earns its place.
 var testOnlyAllowed = map[string]string{
-	"internal/group.FromTrace":   "the record-driven reference that FromMatrix is checked against",
-	"internal/paper.ResetCaches": "the root benchmarks clear the figure memos between iterations",
+	"internal/group.FromTrace": "the record-driven reference that FromMatrix is checked against",
 }
 
 // standardMethods are method names the standard library calls through an

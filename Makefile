@@ -11,7 +11,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Under the race detector one 65536-rank scenario cell peaks at about 6 GB
+# Under the race detector one 65536-rank scenario cell peaks at about 4.4 GB
 # of RSS and the 16384-rank golden at about 2 GB, so a single test process
 # that runs the 16384-rank golden and then the 65536-rank tests exhausts an
 # 8 GB host. Each 65536-rank test runs in a process of its own; every other
@@ -33,14 +33,17 @@ headline-claims:
 # cell with its event loop spread across 8 worker threads, under the race
 # detector (gb/race_test.go), then twenty times over the worker pool's
 # lifecycle tests (internal/sim/pool_test.go: helpers exit with Run however
-# it ends, and a pool has no more members than GOMAXPROCS) and the kernel
-# metrics' determinism test (internal/sim/metrics_test.go: every sim_*
-# metric is the same at 1, 2 and 4 workers). The first test is build-tagged
-# race-only, so plain `make race` runs it too; this named target is the
-# targeted variant CI reports on its own line, mirroring gbd-smoke-race.
+# it ends, and a pool has no more members than GOMAXPROCS), the process
+# lifecycle tests (internal/sim/dormant_test.go: coroutines made at first
+# resume and given up by dormant processes, whose bodies rerun on fresh
+# ones, on pool members too) and the kernel metrics' determinism test
+# (internal/sim/metrics_test.go: every sim_* metric is the same at 1, 2 and
+# 4 workers). The first test is build-tagged race-only, so plain `make race`
+# runs it too; this named target is the targeted variant CI reports on its
+# own line, mirroring gbd-smoke-race.
 parallel-race:
 	$(GO) test -race -run TestParallelKernelMultiGroupRace -v ./gb
-	$(GO) test -race -count=20 -run '^(TestPool|TestMetricsIdenticalAtEveryWorkerCount$$)' ./internal/sim
+	$(GO) test -race -count=20 -run '^(TestPool|TestDormant|TestMetricsIdenticalAtEveryWorkerCount$$)' ./internal/sim
 
 # One iteration of every layer microbenchmark (internal/ and gb/gbd): a
 # smoke pass proving each still runs, not a timing run. The simulator is

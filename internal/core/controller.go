@@ -16,7 +16,7 @@ import (
 // group) and waits for one done reply per rank; when all groups have
 // finished, mpirun checkpoints itself (not timed, as in the paper's
 // measurements). It also runs the per-rank checkpoint daemons, which hand
-// each request to the protocol's checkpoint body and report its result.
+// each request to the protocol and report its result.
 //
 // The head node is rank 0's node: request and done messages cross the real
 // network, so request propagation to n ranks costs n serialized control
@@ -49,14 +49,66 @@ type controller struct {
 // Span is a [From, To) interval of virtual time.
 type Span struct{ From, To sim.Time }
 
+// protocol is a checkpoint protocol's side of an epoch at one rank, split
+// where the rank's daemon first needs a stack. arrive runs in kernel
+// context, in the event the request reaches rank r in, and returns how long
+// the daemon then sleeps, dormant; checkpoint runs on the daemon's
+// coroutine when it wakes, and ends in finish.
+type protocol interface {
+	arrive(r *mpi.Rank) sim.Time
+	checkpoint(p *sim.Proc, r *mpi.Rank, req request)
+}
+
+// request is the epoch a daemon serves: its id, the rank to send the done
+// reply to, and the instant the request reached the daemon's rank.
+type request struct {
+	epoch, replyTo int
+	start          sim.Time
+}
+
+// daemon is one rank's checkpoint daemon, ckptd. It holds a coroutine only
+// while the protocol's checkpoint body runs. In between it is dormant: its
+// control mailbox hands the next request to receive, in kernel context, and
+// receive wakes it once the protocol's arrive step has passed.
+type daemon struct {
+	proto   protocol
+	r       *mpi.Rank
+	p       *sim.Proc
+	req     request
+	serving bool      // req has arrived and its checkpoint has not run
+	receive func(any) // d.take, bound once per daemon
+}
+
+// run is the daemon's body, run afresh at each wakeup: it serves the
+// request that woke it, if any, and re-arms the control receive. A request
+// already queued is taken at once; either way the body returns and the
+// daemon is dormant until its next request's arrive step has passed.
+func (d *daemon) run(p *sim.Proc) {
+	if d.serving {
+		d.serving = false
+		d.proto.checkpoint(p, d.r, d.req)
+	}
+	d.r.CtrlRecvFunc(p, mpi.AnySource, tagCkptReq, d.receive)
+}
+
+// take accepts a request in kernel context: it runs the protocol's arrive
+// step and schedules the daemon's wakeup after it, even after no time.
+func (d *daemon) take(v any) {
+	m := v.(*mpi.Msg)
+	d.req = request{epoch: int(m.Val), replyTo: m.Src, start: d.p.Now()}
+	d.serving = true
+	d.p.WakeAt(d.req.start + d.proto.arrive(d.r))
+}
+
 // start installs the controller on w, whose partition map must already be
 // set, and spawns one checkpoint daemon per rank in the rank's partition.
-// On each request a daemon runs checkpoint, the protocol's side of the
-// epoch for its rank, which ends in finish. The body calls finish rather
-// than returning its record to the loop: each of the n daemons runs on its
-// own stack, and the deeper frames of a returned record grew every one of
-// them past its starting size (6 MB more peak RSS at 4096 ranks).
-func (c *controller) start(w *mpi.World, groups [][]int, checkpoint func(p *sim.Proc, r *mpi.Rank, epoch, replyTo int)) {
+// A daemon costs no coroutine until a request's arrive step has passed, and
+// gives it up when its checkpoint ends: at any instant only the ranks whose
+// checkpoint body is running hold one. The body calls finish rather than
+// returning its record: the deeper frames of a returned record grew each
+// daemon's stack past its starting size (6 MB more peak RSS at 4096 ranks,
+// when every daemon held its stack for the whole run).
+func (c *controller) start(w *mpi.World, groups [][]int, proto protocol) {
 	c.w, c.groups = w, groups
 	c.snaps = make([]*ckpt.Snapshot, w.N)
 	if np := w.Parts(); np > 1 {
@@ -64,13 +116,11 @@ func (c *controller) start(w *mpi.World, groups [][]int, checkpoint func(p *sim.
 		c.pendCuts = make([][]Cut, np)
 		w.K.OnBarrier(c.flushPending)
 	}
-	for _, r := range w.Ranks {
-		w.K.SpawnDaemonIn(w.Part(r.ID), sim.L("ckptd", r.ID), func(p *sim.Proc) {
-			for {
-				m := r.CtrlRecv(p, mpi.AnySource, tagCkptReq)
-				checkpoint(p, r, int(m.Val), m.Src)
-			}
-		})
+	daemons := make([]daemon, w.N)
+	for i, r := range w.Ranks {
+		d := &daemons[i]
+		d.proto, d.r, d.receive = proto, r, d.take
+		d.p = w.K.SpawnDaemonIn(w.Part(r.ID), sim.L("ckptd", r.ID), d.run)
 	}
 }
 

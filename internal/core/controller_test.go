@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/group"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -42,5 +45,67 @@ func TestScheduleAtStopsWhenAppFinished(t *testing.T) {
 	}
 	if e.Epochs() > 3 {
 		t.Errorf("checkpointing continued after app finished: %d epochs", e.Epochs())
+	}
+}
+
+// TestDaemonsDormantBetweenEpochs: the checkpoint daemons of a
+// partitioned 1024-rank GP1 cell with two periodic epochs hold no
+// coroutine while they wait. Before the first epoch, a global event finds,
+// beside the goroutines the test started with, one coroutine per
+// application rank still running and one for mpirun's periodic schedule:
+// none for the daemons, where daemons that kept their coroutines between
+// requests would add n. Between the epochs it finds the same plus the idle
+// coroutines the first epoch's bodies handed back, one per body that ran
+// at once, which stays well under n because the signal jitter spreads the
+// bodies out.
+func TestDaemonsDormantBetweenEpochs(t *testing.T) {
+	const n = 1024
+	before := runtime.NumGoroutine()
+	f := group.Singletons(n)
+	partOf, nparts := PartitionPlan(f, 16)
+	k := sim.NewKernel(1)
+	w := mpi.NewWorld(k, cluster.New(k, n, cluster.Modern()), n)
+	w.SetPartitions(partOf, nparts)
+	wl := workload.NewSynthetic(n, 40)
+	wl.Flops = 1e9 // 50 ms an iteration on the modern profile's 20 Gflop/s
+	e := NewEngine(w, DefaultConfig(f, wl.ImageBytes))
+	e.SchedulePeriodic(500*sim.Millisecond, sim.Second, 2)
+	w.Launch(wl.Body)
+
+	type probe struct {
+		at            sim.Time
+		live, running int
+	}
+	probes := []*probe{{at: 400 * sim.Millisecond}, {at: 1200 * sim.Millisecond}}
+	for _, pr := range probes {
+		k.GlobalAt(pr.at, func() {
+			pr.live = runtime.NumGoroutine() - before
+			for _, r := range w.Ranks {
+				if !r.Finished {
+					pr.running++
+				}
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	spans := e.EpochSpans()
+	if len(spans) != 2 || spans[0].From <= probes[0].at || spans[0].To >= probes[1].at || spans[1].From <= probes[1].at {
+		t.Fatalf("epochs %v do not follow the probes at %v and %v", spans, probes[0].at, probes[1].at)
+	}
+	for _, pr := range probes {
+		if pr.running == 0 {
+			t.Fatalf("no rank was still running at %v", pr.at)
+		}
+	}
+	if pr := probes[0]; pr.live != pr.running+1 {
+		t.Errorf("%v into the run, before the first epoch: %d goroutines beside the test's, want %d (%d running ranks and mpirun; %d daemons dormant)",
+			pr.at, pr.live, pr.running+1, pr.running, n)
+	}
+	if pr := probes[1]; pr.live < pr.running+1 || pr.live-pr.running-1 >= n/2 {
+		t.Errorf("%v into the run, between epochs: %d goroutines beside the test's, %d running ranks and mpirun; want fewer than %d idle coroutines beside them",
+			pr.at, pr.live, pr.running+1, n/2)
 	}
 }

@@ -137,8 +137,9 @@ type Engine struct {
 }
 
 // NewEngine installs the protocol on a world: it registers the send/deliver
-// hooks and spawns one checkpoint daemon per rank. Call after any
-// World.SetPartitions and before Launch/Run.
+// hooks and spawns one checkpoint daemon per rank, which holds no coroutine
+// until a request's signal jitter has passed (see controller.start). Call
+// after any World.SetPartitions and before Launch/Run.
 func NewEngine(w *mpi.World, cfg Config) *Engine {
 	if err := cfg.Formation.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid formation: %v", err))
@@ -161,7 +162,7 @@ func NewEngine(w *mpi.World, cfg Config) *Engine {
 		}
 	}
 	w.Hooks = e
-	e.start(w, cfg.Formation.Groups, e.checkpoint)
+	e.start(w, cfg.Formation.Groups, e)
 	return e
 }
 
@@ -220,19 +221,25 @@ func (e *Engine) OnDeliver(d *mpi.Rank, m *mpi.Msg) {
 	}
 }
 
-// checkpoint runs one rank's side of a group checkpoint, recording the
-// four-stage breakdown of Figure 9, and hands the result to finish.
-func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
-	st := &e.states[r.ID]
-	start := p.Now()
+// arrive implements protocol: the start of Stage 1. The rank's freeze
+// instant jitters after the request's arrival, because signal delivery is
+// not instantaneous, and the daemon sleeps through the jitter without a
+// stack. The draw comes from the rank's partition stream: PartRand(0) is
+// the master stream, so a serial engine keeps the classic draw order.
+func (e *Engine) arrive(r *mpi.Rank) sim.Time {
+	return sim.Time(e.w.K.PartRand(e.w.Part(r.ID)).Int63n(int64(signalJitter)))
+}
 
-	// Stage 1 — Lock MPI: freeze the application (it parks at its next
-	// send, receive-completion, or compute-slice boundary). The freeze
-	// instant jitters per rank: signal delivery is not instantaneous. The
-	// draw comes from the rank's partition stream: PartRand(0) is the
-	// master stream, so a serial engine keeps the classic draw order.
-	rng := e.w.K.PartRand(e.w.Part(r.ID))
-	p.Hold(sim.Time(rng.Int63n(int64(signalJitter))))
+// checkpoint implements protocol: the rest of one rank's side of a group
+// checkpoint, recording the four-stage breakdown of Figure 9, and hands
+// the result to finish.
+func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, req request) {
+	st := &e.states[r.ID]
+	epoch := req.epoch
+
+	// Stage 1 — Lock MPI, from the request's arrival (req.start) on:
+	// after the signal jitter, freeze the application (it parks at its
+	// next send, receive-completion, or compute-slice boundary).
 	r.Gate.Close()
 	r.SendGate.Close()
 	r.Node.Delay(p, lockDelay)
@@ -321,14 +328,14 @@ func (e *Engine) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 	end := p.Now()
 
 	e.finish(p, r, snap, ckpt.Record{
-		Rank: r.ID, Epoch: epoch, Start: start, End: end,
+		Rank: r.ID, Epoch: epoch, Start: req.start, End: end,
 		Stages: ckpt.Breakdown{
-			ckpt.StageLock:     tLock - start,
+			ckpt.StageLock:     tLock - req.start,
 			ckpt.StageCoord:    tCoord - tLock,
 			ckpt.StageWrite:    tWrite - tCoord,
 			ckpt.StageFinalize: end - tWrite,
 		},
 		ImageBytes: snap.ImageBytes,
 		LogFlushed: flushed,
-	}, replyTo)
+	}, req.replyTo)
 }

@@ -50,7 +50,7 @@ func NewVCL(w *mpi.World, store cluster.Storage, imageBytes func(int) int64) *VC
 		recording:  make([]bool, w.N),
 	}
 	w.Hooks = v
-	v.start(w, group.Global(w.N).Groups, v.checkpoint)
+	v.start(w, group.Global(w.N).Groups, v)
 	return v
 }
 
@@ -69,18 +69,29 @@ func (v *VCL) OnDeliver(d *mpi.Rank, m *mpi.Msg) {
 	}
 }
 
-// checkpoint runs one rank's side of a VCL checkpoint and hands the result
-// to finish.
-func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
-	n := v.w.N
-	start := p.Now()
+// vclFreeze is how long capturing a rank's copy-on-write snapshot takes
+// before node noise: the length of VCL's freeze.
+const vclFreeze = 100 * sim.Millisecond
 
-	// 1. Freeze and cut: stop the application briefly, mark the snapshot
-	// point, send markers on every channel. The freeze lasts only as long
-	// as capturing the copy-on-write snapshot.
+// arrive implements protocol: step 1's freeze, taken in the request's own
+// event. It stops the application and returns how long capturing the
+// copy-on-write snapshot keeps it stopped, noise included; the daemon
+// sleeps through that without a stack.
+func (v *VCL) arrive(r *mpi.Rank) sim.Time {
 	r.Gate.Close()
 	r.SendGate.Close()
-	r.Node.Delay(p, 100*sim.Millisecond)
+	now := r.Now()
+	return vclFreeze + r.Node.NoiseWithin(now, now+vclFreeze)
+}
+
+// checkpoint implements protocol: the rest of one rank's side of a VCL
+// checkpoint, from the end of the freeze, and hands the result to finish.
+func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, req request) {
+	n := v.w.N
+	epoch, start := req.epoch, req.start
+
+	// 1. Cut: with the application still frozen (arrive), mark the
+	// snapshot point and send markers on every channel.
 	v.recording[r.ID] = true
 	tag := tagMarkerBase + epoch
 	for q := 0; q < n; q++ {
@@ -124,5 +135,5 @@ func (v *VCL) checkpoint(p *sim.Proc, r *mpi.Rank, epoch, replyTo int) {
 			ckpt.StageFinalize: 0,
 		},
 		ImageBytes: img,
-	}, replyTo)
+	}, req.replyTo)
 }

@@ -11,11 +11,12 @@ import (
 
 // worldAllocsPerRank bounds what building one rank of a GP1 world
 // allocates. Labels instead of formatted names, embedded primitives and
-// lazily made per-peer state bring it to 35 objects per rank, most of them
-// the two coroutines a rank runs (its body and its checkpoint daemon); the
-// formatted names, separately allocated primitives and eager per-rank maps
-// they replaced cost 68.
-const worldAllocsPerRank = 40
+// lazily made per-peer state brought it from 68 objects per rank to 35, and
+// coroutines made at a process's first resume rather than at spawn bring
+// it to 12: the two coroutines a rank runs (its body and its checkpoint
+// daemon) cost 23 of those 35 when they were made eagerly, so even one of
+// them made at spawn again fails the bound.
+const worldAllocsPerRank = 14
 
 // TestWorldAllocsPerRank builds a 1024-rank world the way a GP1 cell does
 // (kernel, Modern cluster with every node's noise stream, message layer,

@@ -11,9 +11,9 @@
 //     freeze for Chandy–Lamport protocols);
 //   - one record per communicating peer, holding the transport byte
 //     counter that coordinated checkpoints drain in-transit messages by;
-//   - a control plane (CtrlSend/CtrlRecv) for protocol daemons that
-//     bypasses hooks, gates, and application counters but still pays
-//     network costs.
+//   - a control plane (CtrlSend/CtrlRecv, and CtrlRecvFunc for a daemon
+//     that waits without a stack) for protocol daemons that bypasses
+//     hooks, gates, and application counters but still pays network costs.
 //
 // The send path is allocation-free in steady state: message envelopes are
 // recycled through a per-world free list once their receiver consumes them
@@ -259,7 +259,8 @@ func (w *World) AllFinishedView() bool {
 // Queued returns the messages still sitting unmatched in application and
 // control mailboxes. After a completed run the application plane must be
 // empty (every send matched by exactly one receive); the control plane may
-// legitimately hold stragglers (daemons park forever on their next request).
+// legitimately hold stragglers (daemons wait forever for their next
+// request).
 func (w *World) Queued() (app, ctrl int) {
 	for _, r := range w.Ranks {
 		app += r.mbox.Len()

@@ -158,3 +158,13 @@ func (r *Rank) CtrlSend(p *sim.Proc, dst, tag int, bytes, val int64, payload any
 func (r *Rank) CtrlRecv(p *sim.Proc, src, tag int) *Msg {
 	return r.ctrl.RecvKeyed(p, src, tag).(*Msg)
 }
+
+// CtrlRecvFunc is CtrlRecv for a daemon that waits without a stack: it
+// hands the next control message from src (or AnySource) with the given tag
+// to fn, as a *Msg, in kernel context — at once if one is queued, and
+// otherwise in the event that would have woken p from CtrlRecv (see
+// sim.Mailbox.RecvFunc). p's body may return right after and stay dormant
+// until fn wakes it.
+func (r *Rank) CtrlRecvFunc(p *sim.Proc, src, tag int, fn func(any)) {
+	r.ctrl.RecvFunc(p, src, tag, fn)
+}

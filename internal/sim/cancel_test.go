@@ -112,8 +112,9 @@ func TestShutdownAfterNormalRunReapsDaemons(t *testing.T) {
 }
 
 // TestShutdownReapsUnstartedProcs: processes spawned but never resumed —
-// the run was interrupted before its first event — already own a goroutine,
-// and Shutdown must reap it without ever running their bodies.
+// the run was interrupted before its first event — get no coroutine, and
+// Shutdown must leave no goroutine behind without ever running their
+// bodies.
 func TestShutdownReapsUnstartedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)

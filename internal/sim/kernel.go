@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -127,11 +126,12 @@ type partition struct {
 	live   int // non-daemon processes that have not finished
 	rng    *rand.Rand
 	events uint64
-	bound  Time    // exclusive upper bound of the current window
-	open   bool    // a window is in progress: the only time CrossAt1 may stage
-	outbox []xev   // cross-partition events staged this window
-	depths []int32 // queue-depth samples taken this window, for closeRound to observe
-	fault  any     // a panic recovered from this partition's window by a pool member
+	bound  Time         // exclusive upper bound of the current window
+	open   bool         // a window is in progress: the only time CrossAt1 may stage
+	outbox []xev        // cross-partition events staged this window
+	depths []int32      // queue-depth samples taken this window, for closeRound to observe
+	fault  any          // a panic recovered from this partition's window by a pool member
+	idle   []*coroutine // coroutines whose body returned, for the next process that needs one
 }
 
 // depthSampleEvery is the sim_queue_depth sampling period: with metrics
@@ -143,13 +143,16 @@ const depthSampleEvery = 32
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
 // construct with NewKernel.
 //
-// Simulated processes are coroutines (iter.Pull), each resumed by a home
-// loop (drive): the pool member running the partition's window. A blocking
-// process runs its partition's event loop itself (dispatch): callbacks run
-// inline, and when the next wakeup is its own it keeps running with no
-// switch at all. Otherwise it yields the process to resume next to the home
-// loop, which resumes it — two coroutine switches, with no run queue, thread
-// wakeup or channel in between. The home loop ends with the window.
+// Simulated processes run on coroutines (iter.Pull), each resumed by a
+// home loop (drive): the pool member running the partition's window. A
+// process gets a coroutine at its first resume and, if it goes dormant (see
+// Proc), again at its first resume after that: an idle one its partition
+// keeps, or a new one. A blocking process runs its partition's event loop
+// itself (dispatch): callbacks run inline, and when the next wakeup is its
+// own it keeps running with no switch at all. Otherwise it yields the
+// process to resume next to the home loop, which resumes it — two coroutine
+// switches, with no run queue, thread wakeup or channel in between. The
+// home loop ends with the window.
 //
 // Run advances virtual time in rounds: the coordinator opens a window, the
 // partitions whose next events fall inside it process them — in parallel,
@@ -342,8 +345,10 @@ func (k *Kernel) PartAt(p int, t Time, fn func()) {
 // delivery) allocates nothing per call. The caller must be partition p's
 // own context (or pre-run / a global event): scheduling into a foreign
 // partition's heap mid-window is a data race — that is what CrossAt1 is for.
-func (k *Kernel) PartAt1(p int, t Time, fn func(any), arg any) {
-	pt := k.parts[p]
+func (k *Kernel) PartAt1(p int, t Time, fn func(any), arg any) { k.parts[p].at1(t, fn, arg) }
+
+// at1 schedules fn(arg) at time t (or now, if t is past) in pt.
+func (pt *partition) at1(t Time, fn func(any), arg any) {
 	if t < pt.now {
 		t = pt.now
 	}
@@ -426,23 +431,17 @@ func (k *Kernel) SpawnDaemonIn(part int, l Label, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(pt *partition, l Label, fn func(p *Proc), daemon bool) *Proc {
+	// The process gets a coroutine at its first resume (Proc.take):
+	// until then it costs no goroutine, and one never resumed costs none
+	// at all.
 	p := &Proc{
 		pt:      pt,
 		label:   l,
+		body:    fn,
 		blocked: true,
 		verb:    "start",
 		daemon:  daemon,
 	}
-	// The coroutine starts at the process's first resume, so a process
-	// that is never resumed never runs its body.
-	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
-		p.yield = yield
-		runProcBody(p, fn)
-		p.done = true
-		if !p.daemon {
-			p.pt.live--
-		}
-	})
 	pt.procs = append(pt.procs, p)
 	if !daemon {
 		pt.live++
@@ -455,41 +454,31 @@ func (k *Kernel) spawn(pt *partition, l Label, fn func(p *Proc), daemon bool) *P
 // its blocking primitive once Shutdown stops its coroutine.
 type killed struct{}
 
-// runProcBody executes the process function, converting a Shutdown-induced
-// unwind into a normal return. Any other panic propagates: out of the
-// coroutine to the home loop that resumed it, and from there out of Run.
-func runProcBody(p *Proc, fn func(*Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
-				panic(r)
-			}
-		}
-	}()
-	p.blocked = false
-	p.verb, p.on = "running", nil
-	fn(p)
-}
-
-// Shutdown unwinds every unfinished process. A simulation that ends with
-// blocked processes — daemons after a normal run, application ranks after an
-// interrupt, horizon, deadlock or panic — leaves their coroutines suspended
-// forever otherwise, and a long-lived caller running many simulations would
-// accumulate their goroutines without bound. Shutdown stops each one: a
-// process suspended in a blocking primitive panics out of it with killed{},
-// which the spawn wrapper recovers, and a process never resumed never runs
-// its body. Shutdown is idempotent, must not be called while Run is in
-// flight, and leaves the kernel unusable for further Runs.
+// Shutdown stops every coroutine the kernel holds. A simulation that ends
+// with processes suspended in a primitive — daemons after a normal run,
+// application ranks after an interrupt, horizon, deadlock or panic —
+// leaves their coroutines suspended forever otherwise, and so are the idle
+// coroutines that dormant bodies gave back; a long-lived caller running many
+// simulations would accumulate their goroutines without bound. Shutdown
+// stops each one: a suspended process panics out of its primitive with
+// killed{}, which Proc.run recovers, and an idle coroutine just ends. A
+// process never resumed, or dormant, has no coroutine to stop. Shutdown is
+// idempotent, must not be called while Run is in flight, and leaves the
+// kernel unusable for further Runs.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")
 	}
 	for _, pt := range k.parts {
 		for _, p := range pt.procs {
-			if !p.done {
-				p.stop()
+			if p.co != nil {
+				p.co.stop()
 			}
 		}
+		for _, c := range pt.idle {
+			c.stop()
+		}
+		pt.idle = nil
 	}
 }
 
@@ -552,14 +541,17 @@ func (pt *partition) dispatch() *Proc {
 
 // drive is the home loop of partition pt's window: it resumes each process
 // dispatch names, until dispatch names none. A resumed process runs until it
-// blocks and yields back the process its own dispatch named, or until it
-// finishes and the home loop dispatches again. A panic in a process body
-// propagates out of next, and so out of drive.
+// blocks and yields back the process its own dispatch named, or until its
+// body returns — finished or dormant — and the home loop dispatches again.
+// A panic in a process body propagates out of next, and so out of drive.
 func (pt *partition) drive() {
 	p := pt.dispatch()
 	for p != nil {
+		if p.co == nil {
+			p.take()
+		}
 		q, ok := p.next()
-		if !ok {
+		if !ok || q == wentDormant {
 			q = pt.dispatch()
 		}
 		p = q

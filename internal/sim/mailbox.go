@@ -27,6 +27,7 @@ type mboxWaiter struct {
 	a, b int
 	got  any
 	ok   bool
+	fn   func(any) // non-nil: hand the message to fn instead of waking p (RecvFunc)
 }
 
 // keyMatches is the single definition of matching: exact second key, first
@@ -51,12 +52,20 @@ func (m *Mailbox) PutKeyed(v any, a, b int) {
 	it := mboxItem{v: v, a: a, b: b}
 	for i, w := range m.waiters {
 		if keyMatches(w.a, w.b, &it) {
-			w.got, w.ok = v, true
 			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
 			// Wake through the waiter's own partition: a mailbox is only
 			// ever touched from its owner's partition, but the indirection
-			// keeps the primitive partition-agnostic.
-			w.p.pt.scheduleWake(w.p.pt.now, w.p)
+			// keeps the primitive partition-agnostic. A RecvFunc callback
+			// takes the very slot the waiter's wakeup would: same instant,
+			// next sequence number.
+			pt := w.p.pt
+			if fn := w.fn; fn != nil {
+				w.fn = nil
+				pt.at1(pt.now, fn, v)
+				return
+			}
+			w.got, w.ok = v, true
+			pt.scheduleWake(pt.now, w.p)
 			return
 		}
 	}
@@ -74,6 +83,26 @@ func (m *Mailbox) RecvKeyed(p *Proc, a, b int) any {
 	}
 	p.mbw = mboxWaiter{p: p, a: a, b: b}
 	return m.wait(p)
+}
+
+// RecvFunc is RecvKeyed without a stack: it hands the next message with key
+// (a, b) to fn, in kernel context, instead of blocking p for it. A queued
+// match goes to fn at once, with no event. Otherwise p is armed, blocked in
+// "recv" on the mailbox, and the PutKeyed that matches schedules fn in p's
+// partition at the instant and sequence number that would have woken p from
+// RecvKeyed — so a kernel that uses one in place of the other processes the
+// same events in the same order. p's body may return right after: p then
+// stays dormant until something wakes it, such as fn calling p.WakeAt.
+func (m *Mailbox) RecvFunc(p *Proc, a, b int, fn func(any)) {
+	for i := range m.items {
+		if keyMatches(a, b, &m.items[i]) {
+			fn(m.take(i))
+			return
+		}
+	}
+	p.mbw = mboxWaiter{p: p, a: a, b: b, fn: fn}
+	m.waiters = append(m.waiters, &p.mbw)
+	p.arm("recv", &m.label)
 }
 
 // take removes and returns the i-th queued message.

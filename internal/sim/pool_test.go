@@ -89,7 +89,7 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
 				k := c.build(w)
-				before := runtime.NumGoroutine() // the processes' coroutines included
+				before := runtime.NumGoroutine()
 				v, err := runRecovering(k)
 				if !c.check(err, v) {
 					t.Errorf("Run = %v, panicked with %v", err, v)
@@ -97,8 +97,12 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 				if got := k.PoolMembers(); got != w {
 					t.Errorf("pool had %d members, want %d", got, w)
 				}
-				if after := settleGoroutines(t, before); after > before {
-					t.Errorf("goroutines outlived Run: %d before, %d after", before, after)
+				// Processes get their coroutines as they first run, and the
+				// ones suspended when Run returns keep them until Shutdown:
+				// every other goroutine Run started must be gone.
+				coros := k.Coroutines()
+				if after := settleGoroutines(t, before+coros); after > before+coros {
+					t.Errorf("goroutines outlived Run: %d before, %d after, %d of them process coroutines", before, after, coros)
 				}
 				k.Shutdown()
 				if after := settleGoroutines(t, baseline); after > baseline {
@@ -112,7 +116,8 @@ func TestPoolHelpersExitWithRun(t *testing.T) {
 // TestPoolMembersCappedAtGOMAXPROCS: a pool has min(RunWorkers, partitions,
 // GOMAXPROCS) members, and no more goroutines than that run the windows —
 // a member beyond the Ps would only take turns with the others. Mid-run,
-// a global event counts the goroutines Run added: the helpers.
+// a global event counts the goroutines Run added beside the processes'
+// coroutines: the helpers.
 func TestPoolMembersCappedAtGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct{ procs, workers, parts, want int }{
@@ -134,7 +139,7 @@ func TestPoolMembersCappedAtGOMAXPROCS(t *testing.T) {
 			})
 		}
 		during := -1
-		k.GlobalAt(5*Microsecond, func() { during = runtime.NumGoroutine() })
+		k.GlobalAt(5*Microsecond, func() { during = runtime.NumGoroutine() - k.Coroutines() })
 		before := runtime.NumGoroutine()
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -15,6 +15,10 @@
 //   - Gate: freeze/unfreeze points (checkpoint "Lock MPI")
 //   - Counter: monotone counters with await-at-least (channel drains)
 //
+// WakeAt and Mailbox.RecvFunc are Hold's and RecvKeyed's forms without a
+// stack: a process whose body returns after arming one is dormant, holds no
+// coroutine, and runs its body again from the top when woken.
+//
 // Processes and primitives carry a Label, formatted only when a deadlock
 // report names them, and each primitive is returned by value for its owner
 // to embed.

@@ -29,9 +29,11 @@ race:
 headline-claims:
 	$(GO) test -run '^TestHeadlineClaims$$' ./internal/harness
 
-# The partitioned kernel's dedicated race exercise: a multi-group 4096-rank
-# cell with its event loop spread across 8 worker threads, under the race
-# detector (gb/race_test.go), then twenty times over the worker pool's
+# The partitioned kernel's dedicated race exercise: two multi-group cells
+# with their event loops spread across 8 worker threads, under the race
+# detector (gb/race_test.go) — a 4096-rank GP1 cell, and a 2048-rank GP cell
+# checkpointed twice, whose bookmarks and barrier tokens run on envelopes
+# the partitions recycle — then twenty times over the worker pool's
 # lifecycle tests (internal/sim/pool_test.go: helpers exit with Run however
 # it ends, and a pool has no more members than GOMAXPROCS), the process
 # lifecycle tests (internal/sim/dormant_test.go: coroutines made at first

@@ -91,11 +91,14 @@ func (d *daemon) run(p *sim.Proc) {
 	d.r.CtrlRecvFunc(p, mpi.AnySource, tagCkptReq, d.receive)
 }
 
-// take accepts a request in kernel context: it runs the protocol's arrive
-// step and schedules the daemon's wakeup after it, even after no time.
+// take accepts a request in kernel context: it frees the request's
+// envelope once it has read the epoch and the sender, runs the protocol's
+// arrive step and schedules the daemon's wakeup after it, even after no
+// time.
 func (d *daemon) take(v any) {
 	m := v.(*mpi.Msg)
 	d.req = request{epoch: int(m.Val), replyTo: m.Src, start: d.p.Now()}
+	d.r.W.Free(m)
 	d.serving = true
 	d.p.WakeAt(d.req.start + d.proto.arrive(d.r))
 }

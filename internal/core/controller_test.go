@@ -109,3 +109,65 @@ func TestDaemonsDormantBetweenEpochs(t *testing.T) {
 			pr.at, pr.live, pr.running+1, n/2)
 	}
 }
+
+// TestControlEnvelopesRecycled: a partitioned 1024-rank GP cell in 16
+// groups of 64, checkpointed twice, takes every control envelope of its
+// second epoch from the world's pool and gets nearly all of them back from
+// it. Between a probe after the first epoch and one after the second, the
+// pool hands out exactly one envelope per application send in the window
+// plus one per control message of the epoch, counted from the formation:
+// per rank of a group of g, one request, g−1 bookmarks, one barrier token
+// per dissemination round and one done reply. A control plane that
+// bypassed the pool fails that count. Of those envelopes, the pool creates
+// only the few a partition's free list lacks when it has more envelopes out
+// at once than in the first epoch: 205 in this cell, against the epoch's
+// 72,704 control messages. A receive that kept its control envelopes would
+// make the pool create one per bookmark, token and reply.
+func TestControlEnvelopesRecycled(t *testing.T) {
+	const n, groups = 1024, 16
+	f := group.Fixed(n, groups)
+	partOf, nparts := PartitionPlan(f, groups)
+	k := sim.NewKernel(1)
+	w := mpi.NewWorld(k, cluster.New(k, n, cluster.Modern()), n)
+	w.SetPartitions(partOf, nparts)
+	wl := workload.NewSynthetic(n, 120)
+	wl.Flops = 1e9 // 50 ms an iteration on the modern profile's 20 Gflop/s
+	e := NewEngine(w, DefaultConfig(f, wl.ImageBytes))
+	e.SchedulePeriodic(500*sim.Millisecond, 5*sim.Second, 2)
+	w.Launch(wl.Body)
+
+	probeAt := []sim.Time{5 * sim.Second, 10 * sim.Second}
+	stats := make([]mpi.Stats, len(probeAt))
+	for i, at := range probeAt {
+		k.GlobalAt(at, func() { stats[i] = w.Stats() })
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	spans := e.EpochSpans()
+	if len(spans) != 2 || spans[0].To >= probeAt[0] || spans[1].From <= probeAt[0] || spans[1].To >= probeAt[1] {
+		t.Fatalf("epochs %v: the second does not fall between the probes at %v and %v", spans, probeAt[0], probeAt[1])
+	}
+	ctrl := 0
+	for _, g := range f.Groups {
+		rounds := 0
+		for k := 1; k < len(g); k *= 2 {
+			rounds++
+		}
+		ctrl += len(g) * (1 + len(g) - 1 + rounds + 1)
+	}
+	before, after := stats[0], stats[1]
+	sends := after.Sends - before.Sends
+	created := after.PoolCreated - before.PoolCreated
+	if taken := created + after.PoolReused - before.PoolReused; taken != sends+ctrl {
+		t.Errorf("the pool handed out %d envelopes during the second epoch, want %d: %d application sends and %d control messages",
+			taken, sends+ctrl, sends, ctrl)
+	}
+	if created*100 > ctrl {
+		t.Errorf("the pool created %d envelopes during the second epoch, more than 1 in 100 of its %d control messages", created, ctrl)
+	}
+	if after.DoubleFrees != 0 || after.FreeLen != after.PoolFreed-after.PoolReused {
+		t.Errorf("corrupt pool accounting: %+v", after)
+	}
+}

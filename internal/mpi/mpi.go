@@ -15,11 +15,12 @@
 //     that waits without a stack) for protocol daemons that bypasses
 //     hooks, gates, and application counters but still pays network costs.
 //
-// The send path is allocation-free in steady state: message envelopes are
-// recycled through a per-world free list once their receiver consumes them
-// (collectives and Sendrecv recycle implicitly; Recv hands ownership to the
-// application), and deliveries are scheduled through a single pre-bound
-// kernel callback instead of a fresh closure per message.
+// The send path is allocation-free in steady state, on both planes: message
+// envelopes are recycled through a per-world free list once their receiver
+// consumes them (collectives, Sendrecv and CtrlRecv recycle implicitly; Recv
+// and CtrlRecvFunc hand ownership to the caller), and deliveries are
+// scheduled through a single pre-bound kernel callback instead of a fresh
+// closure per message.
 package mpi
 
 import (
@@ -46,9 +47,11 @@ const (
 // CtrlSend was given (an epoch, a bookmark's byte count); on an
 // application message, the sender's piggybacked RR volume if HasPB is set.
 //
-// Application envelopes are pooled: an envelope obtained from Recv is owned
-// by the caller until it is returned to the pool with World.Free (or until
-// the world is dropped). Never retain an envelope after freeing it.
+// Every envelope, application or control, comes from the world's pool and
+// has one owner at a time: the sender until it is delivered, then the
+// receiver. An envelope obtained from Recv or CtrlRecvFunc is owned by the
+// caller until it is returned to the pool with World.Free (or until the
+// world is dropped). Never retain an envelope after freeing it.
 type Msg struct {
 	Src, Dst, Tag int
 	Bytes         int64
@@ -59,9 +62,10 @@ type Msg struct {
 	HasPB         bool
 	Ctrl          bool
 
-	// pooled marks an envelope currently sitting in the free list, so a
-	// double Free is detected instead of corrupting the pool (Stats
-	// records it; the invariant oracle fails the run).
+	// pooled marks an envelope currently sitting in the free list, whose
+	// Payload links to the next pooled envelope, so a double Free is
+	// detected instead of corrupting the list (Stats records it; the
+	// invariant oracle fails the run).
 	pooled bool
 }
 
@@ -108,8 +112,7 @@ type World struct {
 	// shards holds the envelope free list and message-path accounting,
 	// one shard per partition. Shard p is touched only from partition p's
 	// execution context (senders pool from their own shard; receivers
-	// free into theirs), so no locking is needed even mid-round —
-	// exactly the old single-list invariant, per partition.
+	// free into theirs), so no locking is needed even mid-round.
 	shards []shard
 
 	// arrive is the pre-bound delivery handler passed to sim.Kernel.PartAt1,
@@ -138,7 +141,10 @@ type World struct {
 // padded out to its own cache line so partitions never false-share.
 type shard struct {
 	stats Stats
-	free  []*Msg
+	// free heads the shard's free list, threaded through the pooled
+	// envelopes' Payload fields: pushing and popping never grow a slice,
+	// and the list costs no memory beyond the envelopes it holds.
+	free *Msg
 	// lat buffers the window's mpi_msg_latency_seconds samples on a
 	// partitioned world with metrics attached; the round barrier observes
 	// them in partition order (see observeLatencies).
@@ -148,24 +154,29 @@ type shard struct {
 
 // Stats is the world's message-path accounting, maintained unconditionally
 // (a handful of integer increments on paths that already touch the world).
-// The simcheck invariant oracle reads it through harness.Result: for a
-// completed run Sends == Delivered == Consumed, the free-list identity
-// FreeLen == PoolFreed − PoolReused holds, and DoubleFrees is zero.
+// The message counts cover the application plane only; the pool counts
+// cover every envelope, application and control alike. The simcheck
+// invariant oracle reads it through harness.Result: for a completed run
+// Sends == Delivered == Consumed, the free-list identity FreeLen ==
+// PoolFreed − PoolReused holds, and DoubleFrees is zero.
 type Stats struct {
 	Sends       int // application messages entering the network
 	Delivered   int // application messages handed to a destination transport
 	Consumed    int // application messages consumed by Recv
-	PoolCreated int // envelopes heap-allocated (free list misses)
-	PoolReused  int // envelopes recycled from the free list
-	PoolFreed   int // envelopes returned to the pool via Free
+	PoolCreated int // envelopes of either plane heap-allocated (free list misses)
+	PoolReused  int // envelopes of either plane recycled from the free list
+	PoolFreed   int // envelopes of either plane returned to the pool via Free
 	DoubleFrees int // Free calls on an envelope already in the pool
-	FreeLen     int // current free-list depth (filled by World.Stats)
+	FreeLen     int // envelopes on the free lists (counted by World.Stats)
 }
 
 // Stats returns a snapshot of the world's message-path accounting, summed
 // across partition shards. The free-list identity FreeLen == PoolFreed −
 // PoolReused holds on the sum: every Free pushes an envelope into exactly
-// one shard and every reuse pops from exactly one.
+// one shard and every reuse pops from exactly one. FreeLen is counted by
+// walking the lists, so a list cut short by a write to a pooled envelope
+// breaks the identity; the walk stops one past the accounted length, so a
+// corrupted list cannot hold it up.
 func (w *World) Stats() Stats {
 	var s Stats
 	for i := range w.shards {
@@ -177,7 +188,11 @@ func (w *World) Stats() Stats {
 		s.PoolReused += sh.stats.PoolReused
 		s.PoolFreed += sh.stats.PoolFreed
 		s.DoubleFrees += sh.stats.DoubleFrees
-		s.FreeLen += len(sh.free)
+		n, want := 0, sh.stats.PoolFreed-sh.stats.PoolReused
+		for m := sh.free; m != nil && n <= want; m, _ = m.Payload.(*Msg) {
+			n++
+		}
+		s.FreeLen += n
 	}
 	return s
 }
@@ -355,11 +370,9 @@ func NewWorld(k *sim.Kernel, c *cluster.Cluster, n int) *World {
 // (or the heap).
 func (w *World) newMsg(part int) *Msg {
 	sh := &w.shards[part]
-	if n := len(sh.free); n > 0 {
-		m := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		m.pooled = false
+	if m := sh.free; m != nil {
+		sh.free, _ = m.Payload.(*Msg)
+		m.Payload, m.pooled = nil, false
 		sh.stats.PoolReused++
 		return m
 	}
@@ -369,21 +382,21 @@ func (w *World) newMsg(part int) *Msg {
 
 // Free returns an envelope to the world's pool. The caller must hold the
 // only live reference: the envelope's fields (including Payload and Val) are
-// cleared and the memory is reused by a future Send. Freeing an envelope
-// already in the pool is a bug; it is recorded in Stats.DoubleFrees and the
-// envelope is not pushed a second time.
+// cleared and the memory is reused by a future send on either plane. Freeing
+// an envelope already in the pool is a bug; it is recorded in
+// Stats.DoubleFrees and the envelope is not pushed a second time.
 func (w *World) Free(m *Msg) {
 	// The freeing context is the receiver's: envelopes are freed after
-	// Recv, so shard by the destination's partition — read before the
-	// envelope is cleared.
+	// they are received, so shard by the destination's partition — read
+	// before the envelope is cleared.
 	sh := &w.shards[w.Part(m.Dst)]
 	if m.pooled {
 		sh.stats.DoubleFrees++
 		return
 	}
-	*m = Msg{pooled: true}
+	*m = Msg{Payload: sh.free, pooled: true}
+	sh.free = m
 	sh.stats.PoolFreed++
-	sh.free = append(sh.free, m)
 }
 
 // Launch spawns one application process per rank (into its partition, when

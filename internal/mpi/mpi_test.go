@@ -200,9 +200,7 @@ func TestComputeSlicesRespectGate(t *testing.T) {
 func TestCtrlPlaneBypassesGateAndCounters(t *testing.T) {
 	k, w := testWorld(t, 1, 2)
 	w.Ranks[0].Gate.Close() // frozen app must not block ctrl traffic
-	var got *Msg
-	done := make(chan struct{})
-	_ = done
+	var got Msg
 	k.Spawn(sim.L("daemon0"), func(p *sim.Proc) {
 		w.Ranks[0].CtrlSend(p, 1, TagCtrlBase+1, 64, 4096, "bookmark")
 	})
@@ -212,7 +210,7 @@ func TestCtrlPlaneBypassesGateAndCounters(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Payload != "bookmark" || got.Val != 4096 {
+	if !got.Ctrl || got.Payload != "bookmark" || got.Val != 4096 {
 		t.Fatalf("ctrl message not received: %+v", got)
 	}
 	if w.Ranks[1].RecvdBytes(0) != 0 {

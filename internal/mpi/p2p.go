@@ -141,30 +141,34 @@ func (r *Rank) Compute(flops float64) {
 // CtrlSend transmits a protocol control message from this rank's node,
 // carrying the integer val in Msg.Val and payload, if any, in Msg.Payload.
 // It bypasses freeze gates, hooks, tracing, and application counters, but
-// pays full network costs. p is the calling daemon's process. Control
-// envelopes are not pooled: daemons may hold them across further control
-// traffic, and a free list would keep the peak of in-flight envelopes.
+// pays full network costs. p is the calling daemon's process. The envelope
+// comes from the world's pool, as Send's does, and the receiving side
+// returns it: CtrlRecv at once, a CtrlRecvFunc callback with World.Free.
 func (r *Rank) CtrlSend(p *sim.Proc, dst, tag int, bytes, val int64, payload any) {
-	m := &Msg{
-		Src: r.ID, Dst: dst, Tag: tag,
-		Bytes: bytes, Val: val, Payload: payload,
-		SendTime: r.Now(), Ctrl: true,
-	}
+	m := r.W.newMsg(r.W.Part(r.ID))
+	m.Src, m.Dst, m.Tag = r.ID, dst, tag
+	m.Bytes, m.Val, m.Payload = bytes, val, payload
+	m.SendTime, m.Ctrl = r.Now(), true
 	r.deliver(p, m)
 }
 
 // CtrlRecv blocks the daemon process p until a control message from src (or
-// AnySource) with the given tag arrives.
-func (r *Rank) CtrlRecv(p *sim.Proc, src, tag int) *Msg {
-	return r.ctrl.RecvKeyed(p, src, tag).(*Msg)
+// AnySource) with the given tag arrives, and returns a copy of it: the
+// envelope itself goes back to the pool before CtrlRecv returns.
+func (r *Rank) CtrlRecv(p *sim.Proc, src, tag int) Msg {
+	m := r.ctrl.RecvKeyed(p, src, tag).(*Msg)
+	v := *m
+	r.W.Free(m)
+	return v
 }
 
 // CtrlRecvFunc is CtrlRecv for a daemon that waits without a stack: it
 // hands the next control message from src (or AnySource) with the given tag
 // to fn, as a *Msg, in kernel context — at once if one is queued, and
 // otherwise in the event that would have woken p from CtrlRecv (see
-// sim.Mailbox.RecvFunc). p's body may return right after and stay dormant
-// until fn wakes it.
+// sim.Mailbox.RecvFunc). fn owns the envelope and returns it with
+// World.Free once it has read it. p's body may return right after and stay
+// dormant until fn wakes it.
 func (r *Rank) CtrlRecvFunc(p *sim.Proc, src, tag int, fn func(any)) {
 	r.ctrl.RecvFunc(p, src, tag, fn)
 }

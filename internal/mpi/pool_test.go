@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -54,6 +55,15 @@ func (piggybackRound1) BeforeSend(r *Rank, m *Msg) sim.Time {
 }
 
 func (piggybackRound1) OnDeliver(*Rank, *Msg) {}
+
+// TestMsgSizeClass: the free list runs through pooled envelopes' Payload
+// fields rather than a field of its own, so an envelope stays in the
+// runtime's 80-byte size class, which every in-flight message pays for.
+func TestMsgSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Msg{}); s != 80 {
+		t.Errorf("Msg is %d bytes, want 80", s)
+	}
+}
 
 // TestFreeReturnsEnvelopeToPool: World.Free clears the envelope and makes
 // it available to the next Send.
@@ -132,13 +142,20 @@ func TestSparsePeerStateOnlyTouchedChannels(t *testing.T) {
 
 // TestSendPathSteadyStateAllocs asserts the headline property directly:
 // once the pool is warm, a Sendrecv round trip performs zero heap
-// allocations, bare and with the world's and the kernel's metrics attached
+// allocations, bare and with the world's and the kernel's metrics attached,
+// and so does a CtrlSend/CtrlRecv round trip on the control plane
 // (OBSERVABILITY.md, *The zero-alloc guarantee*).
 func TestSendPathSteadyStateAllocs(t *testing.T) {
+	sendrecv := func(r *Rank, other int) { r.Sendrecv(other, 1, 4096, other, 1) }
+	ctrl := func(r *Rank, other int) {
+		r.CtrlSend(r.Proc, other, TagCtrlBase, 4096, 0, nil)
+		r.CtrlRecv(r.Proc, other, TagCtrlBase)
+	}
 	for _, tc := range []struct {
-		name    string
-		metered bool
-	}{{"bare", false}, {"metered", true}} {
+		name      string
+		metered   bool
+		roundTrip func(r *Rank, other int)
+	}{{"bare", false, sendrecv}, {"metered", true, sendrecv}, {"control", false, ctrl}} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, w := testWorld(t, 1, 2)
 			col := metrics.New()
@@ -151,19 +168,19 @@ func TestSendPathSteadyStateAllocs(t *testing.T) {
 			w.Launch(func(r *Rank) {
 				other := 1 - r.ID
 				for i := 0; i < warm; i++ { // warm the pool, counters, heap capacity
-					r.Sendrecv(other, 1, 4096, other, 1)
+					tc.roundTrip(r, other)
 				}
 				if r.ID == 0 {
 					var ms1, ms2 runtime.MemStats
 					runtime.ReadMemStats(&ms1)
 					for i := 0; i < iters; i++ {
-						r.Sendrecv(other, 1, 4096, other, 1)
+						tc.roundTrip(r, other)
 					}
 					runtime.ReadMemStats(&ms2)
 					allocs = ms2.Mallocs - ms1.Mallocs
 				} else {
 					for i := 0; i < iters; i++ {
-						r.Sendrecv(other, 1, 4096, other, 1)
+						tc.roundTrip(r, other)
 					}
 				}
 			})
@@ -177,9 +194,10 @@ func TestSendPathSteadyStateAllocs(t *testing.T) {
 			}
 			// Allow a little slack for runtime-internal allocation (GC
 			// assists, goroutine bookkeeping, the kernel's queue-depth
-			// sample slice growing); the pre-pool path allocated ≥6 per
-			// message.
-			if perMsg := float64(allocs) / (2 * iters); perMsg > 1 {
+			// sample slice growing), but well under one object per
+			// message: an envelope made per message, as the control plane
+			// once did, is one; the pre-pool path allocated ≥6.
+			if perMsg := float64(allocs) / (2 * iters); perMsg > 0.1 {
 				t.Errorf("steady-state send path allocates %.2f objects/message, want ≈0", perMsg)
 			}
 		})
@@ -187,22 +205,36 @@ func TestSendPathSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPoolStatsAccounting: the Stats counters obey the documented
-// identities on a healthy run — sends/deliveries/receives agree, and the
+// identities on a healthy run that mixes both planes — application sends,
+// deliveries and receives agree, every envelope of either plane is taken
+// from the pool and returned to it, control envelopes are reused, and the
 // free list holds exactly freed − reused envelopes.
 func TestPoolStatsAccounting(t *testing.T) {
-	k, w := testWorld(t, 1, 4)
+	const n, rounds = 4, 50
+	k, w := testWorld(t, 1, n)
 	w.Launch(func(r *Rank) {
-		next, prev := (r.ID+1)%4, (r.ID+3)%4
-		for i := 0; i < 50; i++ {
+		next, prev := (r.ID+1)%n, (r.ID+n-1)%n
+		for i := 0; i < rounds; i++ {
 			r.Sendrecv(next, i, 2048, prev, i)
+			r.CtrlSend(r.Proc, next, TagCtrlBase+i, 16, int64(i), nil)
+			if m := r.CtrlRecv(r.Proc, prev, TagCtrlBase+i); m.Val != int64(i) || m.Src != prev {
+				t.Errorf("rank %d round %d: control message from %d carries %d", r.ID, i, m.Src, m.Val)
+			}
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
-	if st.Sends != 200 || st.Delivered != 200 || st.Consumed != 200 {
-		t.Errorf("sends/delivered/consumed = %d/%d/%d, want 200 each", st.Sends, st.Delivered, st.Consumed)
+	const app, all = n * rounds, 2 * n * rounds
+	if st.Sends != app || st.Delivered != app || st.Consumed != app {
+		t.Errorf("sends/delivered/consumed = %d/%d/%d, want %d each (application plane only)", st.Sends, st.Delivered, st.Consumed, app)
+	}
+	if st.PoolCreated+st.PoolReused != all || st.PoolFreed != all {
+		t.Errorf("pool handed out %d+%d and got back %d envelopes, want %d of both planes", st.PoolCreated, st.PoolReused, st.PoolFreed, all)
+	}
+	if st.PoolCreated > 2*n {
+		t.Errorf("pool created %d envelopes for %d messages, want at most 2 per rank: control envelopes are not reused", st.PoolCreated, all)
 	}
 	if st.DoubleFrees != 0 {
 		t.Errorf("DoubleFrees = %d on a healthy run", st.DoubleFrees)
@@ -210,8 +242,8 @@ func TestPoolStatsAccounting(t *testing.T) {
 	if st.FreeLen != st.PoolFreed-st.PoolReused {
 		t.Errorf("free list %d != freed %d − reused %d", st.FreeLen, st.PoolFreed, st.PoolReused)
 	}
-	if app, _ := w.Queued(); app != 0 {
-		t.Errorf("%d app messages still queued", app)
+	if app, ctrl := w.Queued(); app != 0 || ctrl != 0 {
+		t.Errorf("%d app and %d control messages still queued", app, ctrl)
 	}
 }
 

@@ -195,8 +195,8 @@ func TestSendPathSteadyStateAllocs(t *testing.T) {
 			// Allow a little slack for runtime-internal allocation (GC
 			// assists, goroutine bookkeeping, the kernel's queue-depth
 			// sample slice growing), but well under one object per
-			// message: an envelope made per message, as the control plane
-			// once did, is one; the pre-pool path allocated ≥6.
+			// message: a plane that made an envelope per message would
+			// allocate one; the pre-pool path allocated ≥6.
 			if perMsg := float64(allocs) / (2 * iters); perMsg > 0.1 {
 				t.Errorf("steady-state send path allocates %.2f objects/message, want ≈0", perMsg)
 			}

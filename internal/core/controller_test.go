@@ -151,8 +151,8 @@ func TestControlEnvelopesRecycled(t *testing.T) {
 	}
 	ctrl := 0
 	for _, g := range f.Groups {
-		rounds := 0
-		for k := 1; k < len(g); k *= 2 {
+		rounds := 0 // ctrlBarrier's dissemination rounds
+		for d := 1; d < len(g); d *= 2 {
 			rounds++
 		}
 		ctrl += len(g) * (1 + len(g) - 1 + rounds + 1)

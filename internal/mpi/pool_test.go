@@ -242,8 +242,8 @@ func TestPoolStatsAccounting(t *testing.T) {
 	if st.FreeLen != st.PoolFreed-st.PoolReused {
 		t.Errorf("free list %d != freed %d − reused %d", st.FreeLen, st.PoolFreed, st.PoolReused)
 	}
-	if app, ctrl := w.Queued(); app != 0 || ctrl != 0 {
-		t.Errorf("%d app and %d control messages still queued", app, ctrl)
+	if qa, qc := w.Queued(); qa != 0 || qc != 0 {
+		t.Errorf("%d app and %d control messages still queued", qa, qc)
 	}
 }
 
